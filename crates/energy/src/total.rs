@@ -17,7 +17,9 @@ use noc_model::{
     Cdcg, Cwg, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingAlgorithm,
     RoutingKind, XyRouting,
 };
-use noc_sim::{schedule_with, BatchEvaluator, IncrementalScheduler, Schedule, SimError, SimParams};
+use noc_sim::{
+    schedule_with, BatchEvaluator, CostEvaluator, DeltaStats, Schedule, SimError, SimParams,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -160,30 +162,34 @@ pub struct CdcmCost {
 /// Allocation-free CDCM cost engine: the fast-path twin of
 /// [`evaluate_cdcm`].
 ///
-/// Wraps `noc-sim`'s [`IncrementalScheduler`] (cost-only contention-aware
+/// Wraps `noc-sim`'s [`CostEvaluator`] (cost-only contention-aware
 /// schedule over a shared [`RouteProvider`] — dense, on-demand or
-/// implicit, so arbitrarily large meshes work — with checkpointed
-/// incremental swap evaluation) and adds the Equation 10 energy terms,
-/// computed from cached hop counts instead of re-derived routes. For
-/// every input,
-/// [`CdcmCostEvaluator::evaluate`] returns exactly the `objective_pj()`,
-/// `texec_cycles` and `texec_ns` of [`evaluate_cdcm`] — bit-exact, it
-/// only skips building the artifacts. [`CdcmCostEvaluator::evaluate_swap`]
-/// returns the same values for a tile swap of the mapping, evaluated
-/// incrementally (see [`noc_sim::delta`]).
+/// implicit, so arbitrarily large meshes work) and adds the Equation 10
+/// energy terms, computed from cached hop counts instead of re-derived
+/// routes. For every input, [`CdcmCostEvaluator::evaluate`] returns
+/// exactly the `objective_pj()`, `texec_cycles` and `texec_ns` of
+/// [`evaluate_cdcm`] — bit-exact, it only skips building the artifacts.
+/// [`CdcmCostEvaluator::evaluate_swap`] returns the same values for a
+/// tile swap of the mapping by evaluating the swapped mapping in full.
+///
+/// A two-entry cost cache holds the two most recently queried mappings —
+/// during annealing, the incumbent and the last candidate — so an
+/// accepted move costs one evaluation and the incumbent's cost is never
+/// recomputed between moves.
 ///
 /// Cloning shares the route cache but gives the clone private scratch
 /// state, so clones evaluate concurrently on different threads.
 #[derive(Debug, Clone)]
 pub struct CdcmCostEvaluator<'a> {
-    engine: IncrementalScheduler<'a>,
+    engine: CostEvaluator<'a>,
     tech: &'a Technology,
-    /// Scratch mapping used to compute swapped-route energies without a
-    /// per-move allocation.
+    /// Scratch mapping for swap queries, so a move allocates nothing.
     swapped: Option<Mapping>,
-    /// Most recent full evaluation, so delta queries against an
-    /// unchanged baseline skip the `O(packets)` energy recomputation.
-    last: Option<(Mapping, CdcmCost)>,
+    /// The two most recently queried mappings with their costs, most
+    /// recent first.
+    cache: [Option<(Mapping, CdcmCost)>; 2],
+    /// Swap-query counters ([`Self::delta_stats`]).
+    stats: DeltaStats,
     /// Lazily built batch engine ([`Self::evaluate_batch`]); shares the
     /// route provider with `engine` but owns its own scratch and memo.
     batch: Option<BatchEvaluator<'a>>,
@@ -233,10 +239,11 @@ impl<'a> CdcmCostEvaluator<'a> {
         routes: Arc<RouteProvider>,
     ) -> Self {
         Self {
-            engine: IncrementalScheduler::with_provider(cdcg, params, routes),
+            engine: CostEvaluator::with_provider(cdcg, params, routes),
             tech,
             swapped: None,
-            last: None,
+            cache: [None, None],
+            stats: DeltaStats::default(),
             batch: None,
             batch_texecs: Vec::new(),
             walk_memo: true,
@@ -244,8 +251,8 @@ impl<'a> CdcmCostEvaluator<'a> {
     }
 
     /// Enables or disables walk memoization in both inner engines (the
-    /// incremental scheduler and the batch evaluator). A no-op under a
-    /// dense provider; costs are bit-identical either way — this is a
+    /// cost evaluator and the batch evaluator). A no-op under a dense
+    /// provider; costs are bit-identical either way — this is a
     /// performance knob and the lever the memo-equivalence property
     /// tests flip.
     pub fn set_walk_memo(&mut self, enabled: bool) {
@@ -261,9 +268,11 @@ impl<'a> CdcmCostEvaluator<'a> {
         self.engine.provider()
     }
 
-    /// Counters of the underlying incremental scheduler.
-    pub fn delta_stats(&self) -> noc_sim::DeltaStats {
-        self.engine.stats()
+    /// Swap-query counters: full evaluations run for swaps
+    /// (`full_path_moves`) and queries answered from the cost cache
+    /// (`cache_hits`).
+    pub fn delta_stats(&self) -> DeltaStats {
+        self.stats
     }
 
     fn cost_at(&mut self, texec_cycles: u64, mapping: &Mapping) -> CdcmCost {
@@ -281,20 +290,25 @@ impl<'a> CdcmCostEvaluator<'a> {
         }
     }
 
-    /// Evaluates a mapping: Equation 10 without the schedule artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`evaluate_cdcm`] (core-count mismatch, invalid mapping).
-    pub fn evaluate(&mut self, mapping: &Mapping) -> Result<CdcmCost, SimError> {
-        if let Some((m, cost)) = &self.last {
-            if m == mapping {
-                return Ok(*cost);
-            }
-        }
-        let texec_cycles = self.engine.texec_for(mapping)?;
+    /// The cached cost of `mapping`, if it is one of the two most
+    /// recently queried mappings (which then becomes the most recent).
+    fn cached(&mut self, mapping: &Mapping) -> Option<CdcmCost> {
+        let hit = self
+            .cache
+            .iter()
+            .position(|entry| entry.as_ref().is_some_and(|(m, _)| m == mapping))?;
+        self.cache.swap(0, hit);
+        self.stats.cache_hits += 1;
+        self.cache[0].as_ref().map(|(_, cost)| *cost)
+    }
+
+    /// Evaluates `mapping` in full and caches it as the most recent
+    /// entry, evicting the older one (whose mapping buffer is reused).
+    fn evaluate_uncached(&mut self, mapping: &Mapping) -> Result<CdcmCost, SimError> {
+        let texec_cycles = self.engine.texec_cycles(mapping)?;
         let cost = self.cost_at(texec_cycles, mapping);
-        match &mut self.last {
+        self.cache.swap(0, 1);
+        match &mut self.cache[0] {
             Some((m, c)) => {
                 m.clone_from(mapping);
                 *c = cost;
@@ -304,15 +318,26 @@ impl<'a> CdcmCostEvaluator<'a> {
         Ok(cost)
     }
 
+    /// Evaluates a mapping: Equation 10 without the schedule artifacts.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`evaluate_cdcm`] (core-count mismatch, invalid mapping).
+    pub fn evaluate(&mut self, mapping: &Mapping) -> Result<CdcmCost, SimError> {
+        match self.cached(mapping) {
+            Some(cost) => Ok(cost),
+            None => self.evaluate_uncached(mapping),
+        }
+    }
+
     /// Evaluates every mapping in `batch` through the data-oriented
     /// batch engine ([`noc_sim::BatchEvaluator`]), appending one
     /// [`CdcmCost`] per mapping to `out` in batch order. Each cost is
     /// bit-identical to what [`Self::evaluate`] returns for that mapping
     /// (identical event loop, identical floating-point energy terms);
     /// the batch shares one workload pass and deduplicates route
-    /// resolution across sibling candidates. The incremental baseline
-    /// and its cache are untouched, so interleaving batch and swap
-    /// queries is safe.
+    /// resolution across sibling candidates. The cost cache is
+    /// untouched, so interleaving batch and swap queries is safe.
     ///
     /// # Errors
     ///
@@ -356,15 +381,15 @@ impl<'a> CdcmCostEvaluator<'a> {
             .map(|b| (b.stats(), b.walk_memo_stats()))
     }
 
-    /// Evaluates `mapping` with tiles `a` and `b` swapped, incrementally:
-    /// the schedule suffix is re-run only from the first route-changed
-    /// injection. Returns exactly what [`Self::evaluate`] would on the
-    /// swapped mapping (identical floating-point operations, so deltas
-    /// computed from the two are exact).
+    /// Evaluates `mapping` with tiles `a` and `b` swapped: this is
+    /// [`Self::evaluate`] on the swapped mapping, answered from the cost
+    /// cache when that mapping is one of the last two queried and
+    /// evaluated in full otherwise. Deltas computed from the two are
+    /// therefore exact.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::evaluate`] for the baseline mapping.
+    /// Same as [`Self::evaluate`].
     ///
     /// # Panics
     ///
@@ -375,33 +400,26 @@ impl<'a> CdcmCostEvaluator<'a> {
         a: noc_model::TileId,
         b: noc_model::TileId,
     ) -> Result<CdcmCost, SimError> {
-        // Route-unchanged swaps leave every hop count — and therefore
-        // every energy term — bitwise identical to the baseline's, so a
-        // cached evaluation answers in O(1) (the engine call below is
-        // itself O(1) for this case and keeps the promotion bookkeeping).
-        if !self.engine.swap_changes_routes(mapping, a, b) {
-            if let Some((m, cost)) = &self.last {
-                if m == mapping {
-                    let cost = *cost;
-                    let texec_cycles = self.engine.swap_texec(mapping, a, b)?;
-                    debug_assert_eq!(texec_cycles, cost.texec_cycles);
-                    return Ok(cost);
-                }
-            }
+        if a == b {
+            return self.evaluate(mapping);
         }
-        let texec_cycles = self.engine.swap_texec(mapping, a, b)?;
-        let swapped = match &mut self.swapped {
-            Some(m) => {
+        let mut swapped = match self.swapped.take() {
+            Some(mut m) => {
                 m.clone_from(mapping);
                 m
             }
-            slot @ None => slot.insert(mapping.clone()),
+            None => mapping.clone(),
         };
         swapped.swap_tiles(a, b);
-        let swapped = self.swapped.take().expect("just set");
-        let cost = self.cost_at(texec_cycles, &swapped);
+        let result = match self.cached(&swapped) {
+            Some(cost) => Ok(cost),
+            None => {
+                self.stats.full_path_moves += 1;
+                self.evaluate_uncached(&swapped)
+            }
+        };
         self.swapped = Some(swapped);
-        Ok(cost)
+        result
     }
 }
 
@@ -544,7 +562,76 @@ mod tests {
                 assert_eq!(got.dynamic_pj, full.breakdown.dynamic.picojoules());
             }
         }
-        assert!(fast.delta_stats().incremental_moves > 0);
+        assert!(fast.delta_stats().full_path_moves > 0);
+    }
+
+    #[test]
+    fn evaluate_caches_the_last_two_mappings() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(2, 2).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let c = Mapping::from_tiles(&mesh, [1, 0, 3, 2].map(TileId::new)).unwrap();
+        let d = Mapping::from_tiles(&mesh, [3, 0, 1, 2].map(TileId::new)).unwrap();
+        let e = Mapping::from_tiles(&mesh, [0, 1, 2, 3].map(TileId::new)).unwrap();
+        assert_eq!(fast.evaluate(&c).unwrap().texec_cycles, 100);
+        assert_eq!(fast.evaluate(&d).unwrap().texec_cycles, 90);
+        assert_eq!(fast.evaluate(&c).unwrap().texec_cycles, 100);
+        assert_eq!(fast.evaluate(&d).unwrap().texec_cycles, 90);
+        assert_eq!(fast.delta_stats().cache_hits, 2);
+        // A third mapping evicts the least recently used one (`c`).
+        fast.evaluate(&e).unwrap();
+        fast.evaluate(&d).unwrap();
+        assert_eq!(fast.delta_stats().cache_hits, 3);
+        fast.evaluate(&c).unwrap();
+        assert_eq!(fast.delta_stats().cache_hits, 3);
+    }
+
+    #[test]
+    fn accepted_swaps_are_served_from_the_cache() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(3, 3).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let mut current = Mapping::from_tiles(&mesh, [0, 1, 3, 4].map(TileId::new)).unwrap();
+        fast.evaluate(&current).unwrap();
+        // Accept a chain of swaps, the SA way: price the move against the
+        // incumbent, then make the candidate the incumbent. Each accepted
+        // move costs exactly one full evaluation.
+        let swaps = [(0, 4), (1, 8), (3, 2), (4, 6), (0, 1)];
+        for (i, &(a, b)) in swaps.iter().enumerate() {
+            let (a, b) = (TileId::new(a), TileId::new(b));
+            fast.evaluate(&current).unwrap();
+            let got = fast.evaluate_swap(&current, a, b).unwrap();
+            current.swap_tiles(a, b);
+            let want = evaluate_cdcm(&cdcg, &mesh, &current, &tech, &params).unwrap();
+            assert_eq!(got.objective_pj, want.objective_pj(), "accepted swap #{i}");
+            assert_eq!(fast.evaluate(&current).unwrap(), got);
+        }
+        let stats = fast.delta_stats();
+        assert_eq!(stats.full_path_moves, swaps.len() as u64);
+        assert_eq!(stats.cache_hits, 2 * swaps.len() as u64);
+    }
+
+    #[test]
+    fn empty_tile_swaps_are_cache_hits() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(3, 3).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let base = Mapping::from_tiles(&mesh, [0, 1, 2, 3].map(TileId::new)).unwrap();
+        let cost = fast.evaluate(&base).unwrap();
+        // Tiles 4..9 are empty: swapping two of them leaves the mapping
+        // itself unchanged, so the cache answers without an evaluation.
+        let got = fast
+            .evaluate_swap(&base, TileId::new(5), TileId::new(7))
+            .unwrap();
+        assert_eq!(got, cost);
+        assert_eq!(fast.delta_stats().cache_hits, 1);
+        assert_eq!(fast.delta_stats().full_path_moves, 0);
     }
 
     #[test]
@@ -574,10 +661,13 @@ mod tests {
         let params = SimParams::paper_example();
         let bad = Mapping::identity(&mesh, 3).unwrap();
         let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
-        assert_eq!(
-            fast.evaluate(&bad).unwrap_err(),
-            evaluate_cdcm(&cdcg, &mesh, &bad, &tech, &params).unwrap_err()
-        );
+        let want = evaluate_cdcm(&cdcg, &mesh, &bad, &tech, &params).unwrap_err();
+        assert_eq!(fast.evaluate(&bad).unwrap_err(), want);
+        let swapped = fast.evaluate_swap(&bad, TileId::new(0), TileId::new(3));
+        assert_eq!(swapped.unwrap_err(), want);
+        // The engine stays usable after an error.
+        let m = Mapping::from_tiles(&mesh, [3, 0, 1, 2].map(TileId::new)).unwrap();
+        assert_eq!(fast.evaluate(&m).unwrap().texec_cycles, 90);
     }
 
     #[test]

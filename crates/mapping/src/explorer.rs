@@ -108,9 +108,10 @@ fn run_method<C: SwapDeltaCost + BatchCost + Clone + Send>(
     cancel: &CancelToken,
 ) -> SearchRun {
     match method {
-        // Single-start SA uses incremental move evaluation — the low
-        // computational complexity the paper credits CWM with, and the
-        // dirty-set delta evaluator for CDCM.
+        // Single-start SA prices moves through `swap_delta` — CWM's
+        // exact O(degree) delta (the low computational complexity the
+        // paper credits CWM with), and for CDCM the difference of two
+        // full evaluations behind a two-entry cost cache.
         SearchMethod::SimulatedAnnealing(config) => SearchRun::from_outcome(
             anneal_delta_cancellable(objective, mesh, cores, &config, cancel),
         ),
@@ -333,7 +334,7 @@ impl<'a> Explorer<'a> {
                     Arc::clone(&self.routes),
                 );
                 let run = run_method(&objective, &self.mesh, cores, method, cancel);
-                // The objective (and its delta-evaluator counters) is
+                // The objective (and its swap-evaluator counters) is
                 // dropped when this frame returns; surface the counters
                 // as a trace event so observers see them. Pure read —
                 // the outcome is already fixed.
@@ -343,16 +344,8 @@ impl<'a> Explorer<'a> {
                     event.label = run.outcome.method.clone();
                     event.evaluations = run.outcome.evaluations;
                     event.counters = vec![
-                        ("incremental_moves", stats.incremental_moves),
-                        ("route_unchanged_moves", stats.route_unchanged_moves),
-                        ("full_restores", stats.full_restores),
-                        ("tail_converged_moves", stats.tail_converged_moves),
-                        ("full_rebaselines", stats.full_rebaselines),
                         ("full_path_moves", stats.full_path_moves),
-                        ("tape_refreshes", stats.tape_refreshes),
                         ("cache_hits", stats.cache_hits),
-                        ("events_replayed", stats.events_replayed),
-                        ("events_total", stats.events_total),
                     ];
                     event
                 });

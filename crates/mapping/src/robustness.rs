@@ -6,7 +6,7 @@
 //! * [`remap_after_faults`] — inject a [`FaultSet`], re-route the
 //!   incumbent mapping over the fault-aware provider tier, measure the
 //!   degraded cost, then spend a bounded evaluation budget
-//!   re-optimizing on the incremental swap-delta fast path. The
+//!   re-optimizing through the objective's swap-delta path. The
 //!   [`RemapReport`] records the degradation and the recovery curve
 //!   (best recovered cost, evaluations until the pre-fault cost was
 //!   matched, if ever).
@@ -156,8 +156,8 @@ pub struct RemapReport {
 
 /// Injects `faults`, measures the incumbent mapping's degraded cost
 /// over the fault-aware route tier, then re-optimizes from the
-/// incumbent with a budgeted annealing loop on the incremental
-/// swap-delta fast path.
+/// incumbent with a budgeted annealing loop on the objective's
+/// swap-delta path.
 ///
 /// The healthy baseline is evaluated over `healthy` (any tier); the
 /// degraded/recovery phase over [`RouteProvider::fault_aware`] for the
@@ -335,7 +335,7 @@ impl SwapDeltaCost for RobustCdcmObjective<'_> {
         if a == b {
             return 0.0;
         }
-        // The energy term rides the inner incremental path; the HHI
+        // The energy term rides the inner objective's delta; the HHI
         // term is a full recompute over the (few) route-changed
         // communications' walks — still far cheaper than a schedule.
         let base = self.inner.cost(mapping);

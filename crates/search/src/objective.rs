@@ -20,8 +20,9 @@ pub trait CostFunction {
     fn name(&self) -> String;
 }
 
-/// Objectives that can evaluate a tile swap incrementally, without a full
-/// re-evaluation. Implementations must guarantee
+/// Objectives that price a tile swap as a cost change: CWM with an exact
+/// O(degree) delta, CDCM as the difference of two full evaluations
+/// behind a cost cache. Implementations must guarantee
 /// `cost(swap(m)) == cost(m) + swap_delta(m, a, b)` up to rounding; the
 /// tests in `noc-mapping` and `tests/proptest_invariants.rs` enforce
 /// this.

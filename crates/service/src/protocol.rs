@@ -782,6 +782,23 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_get_a_typed_error() {
+        // 200 000 `[` nests far past the parser's depth cap: the line
+        // must get an error reply, not overflow the stack and abort.
+        let hostile = "[".repeat(200_000);
+        assert!(serde_json::parse(&hostile).is_err());
+        let service = service();
+        let handle = service.handle();
+        let reply = handle_line(&handle, &hostile);
+        assert!(reply.line.contains("\"ok\":false"), "{}", reply.line);
+        assert!(reply.line.contains("bad request"), "{}", reply.line);
+        assert!(!reply.shutdown);
+        // The service keeps serving.
+        let reply = handle_line(&handle, &encode_op("stats", None));
+        assert!(reply.line.contains("\"ok\":true"), "{}", reply.line);
+    }
+
+    #[test]
     fn shutdown_is_signalled_to_the_server_loop() {
         let service = service();
         let reply = handle_line(&service.handle(), &encode_op("shutdown", None));

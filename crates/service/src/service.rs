@@ -300,16 +300,8 @@ impl TraceSink for WorkerSink {
             let mut stats = noc_sim::DeltaStats::default();
             for (name, value) in &event.counters {
                 match *name {
-                    "incremental_moves" => stats.incremental_moves = *value,
-                    "route_unchanged_moves" => stats.route_unchanged_moves = *value,
-                    "full_restores" => stats.full_restores = *value,
-                    "tail_converged_moves" => stats.tail_converged_moves = *value,
-                    "full_rebaselines" => stats.full_rebaselines = *value,
                     "full_path_moves" => stats.full_path_moves = *value,
-                    "tape_refreshes" => stats.tape_refreshes = *value,
                     "cache_hits" => stats.cache_hits = *value,
-                    "events_replayed" => stats.events_replayed = *value,
-                    "events_total" => stats.events_total = *value,
                     _ => {}
                 }
             }

@@ -152,9 +152,17 @@ fn write_value(
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets one hostile line (say
+/// 200 000 `[`) overflow the stack; every document this workspace
+/// writes nests a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parses JSON text into a [`Value`].
@@ -162,6 +170,7 @@ pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -214,11 +223,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object, one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -416,6 +439,16 @@ mod tests {
         let v = vec![1u64, 2];
         let json = to_string_pretty(&v).unwrap();
         assert_eq!(json, "[\n  1,\n  2\n]");
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let fits = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&fits).is_ok());
+        let too_deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&too_deep).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

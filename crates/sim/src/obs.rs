@@ -8,8 +8,7 @@
 //! to publish, so the metric names stay defined in exactly one place.
 
 use crate::batch::{BatchStats, BATCH_SIZE_BUCKETS};
-use crate::cost::RunStats;
-use crate::delta::DeltaStats;
+use crate::cost::{DeltaStats, RunStats};
 use noc_model::WalkMemoStats;
 use noc_obs::MetricsRegistry;
 
@@ -50,25 +49,12 @@ pub fn publish_run_stats(registry: &MetricsRegistry, delta: RunStats) {
     }
 }
 
-/// Adds a [`DeltaStats`] *delta* to the incremental-evaluator counters.
+/// Adds a [`DeltaStats`] *delta* to the swap-evaluator counters (the
+/// two it fills; see [`DeltaStats`]).
 pub fn publish_delta_stats(registry: &MetricsRegistry, delta: &DeltaStats) {
     let pairs = [
-        ("noc_delta_incremental_moves_total", delta.incremental_moves),
-        (
-            "noc_delta_route_unchanged_moves_total",
-            delta.route_unchanged_moves,
-        ),
-        ("noc_delta_full_restores_total", delta.full_restores),
-        (
-            "noc_delta_tail_converged_moves_total",
-            delta.tail_converged_moves,
-        ),
-        ("noc_delta_full_rebaselines_total", delta.full_rebaselines),
         ("noc_delta_full_path_moves_total", delta.full_path_moves),
-        ("noc_delta_tape_refreshes_total", delta.tape_refreshes),
         ("noc_delta_cache_hits_total", delta.cache_hits),
-        ("noc_delta_events_replayed_total", delta.events_replayed),
-        ("noc_delta_events_total", delta.events_total),
     ];
     for (name, value) in pairs {
         if value > 0 {
@@ -136,16 +122,12 @@ pub fn describe_engine_metrics(registry: &MetricsRegistry) {
         "Packet events processed by the scheduler.",
     );
     registry.describe(
-        "noc_delta_incremental_moves_total",
-        "Swap evaluations served incrementally by the delta evaluator.",
-    );
-    registry.describe(
         "noc_delta_cache_hits_total",
-        "Delta-evaluator cost cache hits.",
+        "CDCM evaluator queries served from its two-entry cost cache.",
     );
     registry.describe(
         "noc_delta_full_path_moves_total",
-        "Swaps served by the delta evaluator's auto-fallback full path.",
+        "Tile swaps priced by a full evaluation of the swapped mapping.",
     );
     registry.describe(
         "noc_batch_batches_total",
@@ -193,15 +175,12 @@ mod tests {
         assert_eq!(registry.counter("noc_schedule_events_total").get(), 40);
 
         let delta = DeltaStats {
-            incremental_moves: 5,
+            full_path_moves: 5,
             cache_hits: 2,
             ..DeltaStats::default()
         };
         publish_delta_stats(&registry, &delta);
-        assert_eq!(
-            registry.counter("noc_delta_incremental_moves_total").get(),
-            5
-        );
+        assert_eq!(registry.counter("noc_delta_full_path_moves_total").get(), 5);
         assert_eq!(registry.counter("noc_delta_cache_hits_total").get(), 2);
     }
 

@@ -1,17 +1,18 @@
-//! Property tests of incremental CDCM rescheduling: the dirty-set delta
-//! evaluator must be *bit-exact* with full `schedule_cost` re-evaluation
-//! over random swap chains (accepted moves, rejected moves and cache
-//! queries interleaved), and delta-driven annealing must follow the same
-//! trajectory as full-evaluation annealing, seed for seed.
+//! Property tests of CDCM swap deltas: `CdcmObjective::swap_delta` must
+//! be *bit-exact* with the difference of two independent full
+//! evaluations — along SA-style chains (accepted and rejected moves) and
+//! for GA-style queries on mappings the objective has not just seen —
+//! and delta-driven annealing must follow the same trajectory as
+//! full-evaluation annealing, seed for seed.
 //!
 //! Case counts default low for the regular CI run; the scheduled fuzz job
 //! raises them through `NOC_FUZZ_CASES`.
 
 use noc::apps::TgffConfig;
-use noc::energy::Technology;
-use noc::mapping::{anneal, anneal_delta, CdcmObjective, CostFunction, SaConfig, SwapDeltaCost};
+use noc::energy::{evaluate_cdcm, Technology};
+use noc::mapping::{anneal, anneal_delta, CdcmObjective, SaConfig, SwapDeltaCost};
 use noc::model::{Cdcg, Mapping, Mesh, TileId};
-use noc::sim::{IncrementalScheduler, ScheduleScratch, SimParams};
+use noc::sim::SimParams;
 use proptest::prelude::*;
 
 /// Cases per property; override with `NOC_FUZZ_CASES` (the scheduled CI
@@ -65,60 +66,12 @@ fn splitmix(state: &mut u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Random swap chains with accepts, rejects and interleaved cache
-    /// queries: every incremental answer equals a from-scratch
-    /// `schedule_cost` of the same mapping, exactly.
-    #[test]
-    fn swap_texec_is_bit_exact_over_random_swap_chains(
-        (cdcg, mesh, params) in instance(),
-        seed in any::<u64>(),
-    ) {
-        let mut engine = IncrementalScheduler::new(&cdcg, &mesh, &params);
-        let routes = std::sync::Arc::clone(engine.provider());
-        let mut scratch = ScheduleScratch::new();
-        let mut reference = |m: &Mapping| {
-            noc::sim::schedule_cost_with(&cdcg, &mesh, m, &params, routes.as_ref(), &mut scratch)
-                .expect("schedules")
-        };
-
-        let mut current = permuted_mapping(&mesh, cdcg.core_count(), seed);
-        let mut rng = seed;
-        let n = mesh.tile_count();
-        for step in 0..40u32 {
-            let a = TileId::new((splitmix(&mut rng) % n as u64) as usize);
-            let b = TileId::new((splitmix(&mut rng) % n as u64) as usize);
-            let got = engine.swap_texec(&current, a, b).expect("evaluates");
-            let mut swapped = current.clone();
-            swapped.swap_tiles(a, b);
-            let want = reference(&swapped);
-            prop_assert_eq!(got, want, "step {} swap {}-{}", step, a, b);
-            match splitmix(&mut rng) % 3 {
-                0 => {
-                    // Accept: the engine promotes the candidate.
-                    current = swapped;
-                }
-                1 => {
-                    // Reject: next query reuses the unchanged baseline
-                    // (the revert path — nothing to undo in the engine).
-                }
-                _ => {
-                    // Cache query for the current mapping between moves.
-                    prop_assert_eq!(
-                        engine.texec_for(&current).expect("evaluates"),
-                        reference(&current)
-                    );
-                }
-            }
-        }
-        // The chain must have exercised the incremental machinery, not
-        // silently re-run everything from scratch.
-        let stats = engine.stats();
-        prop_assert!(stats.incremental_moves + stats.route_unchanged_moves > 0);
-    }
-
     /// `CdcmObjective::swap_delta` is exactly `cost(swap(m)) - cost(m)` —
-    /// bitwise, because both sides run identical floating-point
-    /// operations.
+    /// bitwise, where both costs come from independent full
+    /// `evaluate_cdcm` runs, not from the objective's own cache. Queries
+    /// alternate between the chain's current mapping (the SA pattern)
+    /// and a fresh mapping in neither cache slot (the GA mutation
+    /// pattern).
     #[test]
     fn objective_swap_delta_is_the_exact_cost_difference(
         (cdcg, mesh, params) in instance(),
@@ -126,20 +79,56 @@ proptest! {
     ) {
         let tech = Technology::t007();
         let obj = CdcmObjective::new(&cdcg, &mesh, &tech, params);
+        let full = |m: &Mapping| {
+            evaluate_cdcm(&cdcg, &mesh, m, &tech, &params)
+                .expect("evaluates")
+                .objective_pj()
+        };
         let mut current = permuted_mapping(&mesh, cdcg.core_count(), seed);
+        // The two mappings the objective evaluated last (its cache).
+        let mut recent = [current.clone(), current.clone()];
         let mut rng = seed;
         let n = mesh.tile_count();
-        for _ in 0..12u32 {
+        let mut uncached_queries = 0u32;
+        for step in 0..12u32 {
             let a = TileId::new((splitmix(&mut rng) % n as u64) as usize);
             let b = TileId::new((splitmix(&mut rng) % n as u64) as usize);
-            let delta = obj.swap_delta(&current, a, b);
-            let mut swapped = current.clone();
+            let base = if step % 3 == 2 {
+                // Every instance has at least 12 mappings (2+ cores on 4+
+                // tiles), so a few redraws find one outside the cache.
+                let mut fresh = permuted_mapping(&mesh, cdcg.core_count(), splitmix(&mut rng));
+                for _ in 0..64 {
+                    if !recent.contains(&fresh) {
+                        break;
+                    }
+                    fresh = permuted_mapping(&mesh, cdcg.core_count(), splitmix(&mut rng));
+                }
+                if !recent.contains(&fresh) {
+                    uncached_queries += 1;
+                }
+                fresh
+            } else {
+                current.clone()
+            };
+            let delta = obj.swap_delta(&base, a, b);
+            let mut swapped = base.clone();
             swapped.swap_tiles(a, b);
-            prop_assert_eq!(delta, obj.cost(&swapped) - obj.cost(&current));
-            if splitmix(&mut rng).is_multiple_of(2) {
+            prop_assert_eq!(
+                delta,
+                full(&swapped) - full(&base),
+                "step {} swap {}-{}",
+                step,
+                a,
+                b
+            );
+            if a != b {
+                recent = [base.clone(), swapped.clone()];
+            }
+            if base == current && splitmix(&mut rng).is_multiple_of(2) {
                 current = swapped;
             }
         }
+        prop_assert_eq!(uncached_queries, 4);
     }
 
     /// Delta-driven SA and full-evaluation SA visit the same moves and
@@ -165,11 +154,12 @@ proptest! {
 
         prop_assert_eq!(&full.mapping, &delta.mapping);
         prop_assert_eq!(full.cost, delta.cost);
-        // And the delta run actually ran incrementally.
+        // And the delta run served its current mapping from the cache
+        // instead of re-evaluating it every move.
         let stats = delta_obj.delta_stats();
         prop_assert!(
-            stats.incremental_moves + stats.route_unchanged_moves > 0,
-            "delta SA never took the incremental path: {:?}",
+            stats.cache_hits > 0,
+            "delta SA never hit the cost cache: {:?}",
             stats
         );
     }
