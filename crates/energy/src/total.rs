@@ -661,11 +661,24 @@ mod tests {
         let params = SimParams::paper_example();
         let bad = Mapping::identity(&mesh, 3).unwrap();
         let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        assert_eq!(
+            fast.evaluate(&bad).unwrap_err(),
+            evaluate_cdcm(&cdcg, &mesh, &bad, &tech, &params).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn evaluate_swap_rejects_mismatched_mappings_like_schedule_cost() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(2, 2).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let bad = Mapping::identity(&mesh, 3).unwrap();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
         let want = evaluate_cdcm(&cdcg, &mesh, &bad, &tech, &params).unwrap_err();
-        assert_eq!(fast.evaluate(&bad).unwrap_err(), want);
         let swapped = fast.evaluate_swap(&bad, TileId::new(0), TileId::new(3));
         assert_eq!(swapped.unwrap_err(), want);
-        // The engine stays usable after an error.
+        // The evaluator stays usable after an error.
         let m = Mapping::from_tiles(&mesh, [3, 0, 1, 2].map(TileId::new)).unwrap();
         assert_eq!(fast.evaluate(&m).unwrap().texec_cycles, 90);
     }
