@@ -10,11 +10,12 @@
 //! Run with `cargo run --release -p noc-bench --bin eval_engine`.
 
 use noc_apps::TgffConfig;
+use noc_bench::rotation_mappings;
 use noc_energy::{evaluate_cdcm, Technology};
 use noc_mapping::{
     CdcmObjective, CostFunction, Explorer, RestartBudget, SaConfig, SearchMethod, Strategy,
 };
-use noc_model::{Mapping, Mesh};
+use noc_model::Mesh;
 use noc_sim::SimParams;
 use serde::Serialize;
 use std::time::Instant;
@@ -76,18 +77,9 @@ fn bench_cost_eval(mesh: Mesh, cores: usize, packets: usize, evals: u64) -> Cost
         64 * packets as u64,
         packets as u64,
     ));
-    let identity = Mapping::identity(&mesh, cores).expect("cores fit mesh");
-    // Three distinct mappings: rotating through them defeats the CDCM
-    // evaluator's two-entry cost cache, so both paths do full work
-    // every call.
-    let mut moved_to_corner = identity.clone();
-    moved_to_corner.swap_tiles(
-        noc_model::TileId::new(0),
-        noc_model::TileId::new(mesh.tile_count() - 1),
-    );
-    let mut first_two_swapped = identity.clone();
-    first_two_swapped.swap_tiles(noc_model::TileId::new(0), noc_model::TileId::new(1));
-    let mappings = [identity, moved_to_corner, first_two_swapped];
+    // Rotating through three mappings defeats the CDCM evaluator's
+    // two-entry cost cache, so both paths do full work every call.
+    let mappings = rotation_mappings(&mesh, cores);
     let objective = CdcmObjective::new(&cdcg, &mesh, &tech, params);
 
     let mut bit_exact = true;

@@ -1,5 +1,7 @@
-//! Small shared harness: aligned text tables and JSON experiment records.
+//! Small shared harness: aligned text tables, JSON experiment records and
+//! the mappings timing loops rotate through.
 
+use noc_model::{Mapping, Mesh, TileId};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -19,6 +21,24 @@ pub fn write_record<T: Serialize>(name: &str, record: &T) -> PathBuf {
     let json = serde_json::to_string_pretty(record).expect("record serializes");
     std::fs::write(&path, json).expect("can write experiment record");
     path
+}
+
+/// Three distinct mappings of `cores` cores on `mesh`: the identity, the
+/// identity with tiles 0 and `n-1` swapped, and the identity with tiles
+/// 0 and 1 swapped. A timing loop that rotates through them defeats the
+/// CDCM evaluator's two-entry cost cache, so it times evaluations rather
+/// than cache hits.
+///
+/// # Panics
+///
+/// Panics if `cores` exceeds the tiles of `mesh`.
+pub fn rotation_mappings(mesh: &Mesh, cores: usize) -> [Mapping; 3] {
+    let identity = Mapping::identity(mesh, cores).expect("cores fit mesh");
+    let mut moved_to_corner = identity.clone();
+    moved_to_corner.swap_tiles(TileId::new(0), TileId::new(mesh.tile_count() - 1));
+    let mut first_two_swapped = identity.clone();
+    first_two_swapped.swap_tiles(TileId::new(0), TileId::new(1));
+    [identity, moved_to_corner, first_two_swapped]
 }
 
 /// A minimal aligned-column text table for paper-style console output.

@@ -12,4 +12,4 @@
 pub mod harness;
 pub mod table2;
 
-pub use harness::{experiments_dir, write_record, TextTable};
+pub use harness::{experiments_dir, rotation_mappings, write_record, TextTable};

@@ -5,12 +5,21 @@
 //! algorithm and with the CDCM algorithm, evaluate both winners under the
 //! full timing/energy model, and report ETR, ECS0.35 and ECS0.07; then
 //! average per NoC size like the paper does.
+//!
+//! [`run`] executes every row's three searches as independent jobs on
+//! one shared work pool, in parallel across the machine's cores. Each
+//! search is fixed by its seeds, so the record does not depend on the
+//! thread count: it equals [`run_benchmark`] applied row by row.
 
 use noc_apps::suite::{rows_by_noc_size, table1_suite, Benchmark};
 use noc_energy::Technology;
-use noc_mapping::{search_space_size, Comparison, Explorer, SaConfig, SearchMethod, Strategy};
+use noc_mapping::{
+    par_map, search_space_size, Comparison, Explorer, SaConfig, SearchMethod, SearchOutcome,
+    Strategy,
+};
 use noc_sim::SimParams;
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Result of the experiment on one benchmark.
 #[derive(Debug, Clone, Serialize)]
@@ -103,16 +112,37 @@ impl Table2Config {
     }
 }
 
-/// Searches the best mapping for one strategy at one technology point,
-/// returning the outcome, whether ES certified it, and whether SA matched
-/// the certified optimum.
-fn search_best(
-    explorer: &Explorer<'_>,
-    strategy: Strategy,
-    config: &Table2Config,
-    space: u64,
-) -> (noc_mapping::SearchOutcome, bool, Option<bool>) {
-    let mut best: Option<noc_mapping::SearchOutcome> = None;
+/// The best mapping one strategy found, whether ES certified it, and
+/// whether SA matched the certified optimum.
+type Searched = (SearchOutcome, bool, Option<bool>);
+
+/// The three searches of one row, as (index into [`row_explorers`],
+/// strategy): CWM and CDCM at 0.07 µ, then CDCM at 0.35 µ. CWM's
+/// objective is dynamic-only; the technology point only scales it, so one
+/// search serves both columns.
+const SEARCHES: [(usize, Strategy); 3] =
+    [(0, Strategy::Cwm), (0, Strategy::Cdcm), (1, Strategy::Cdcm)];
+
+/// The explorers of one row, at 0.07 µ and at 0.35 µ, sharing one
+/// route provider.
+fn row_explorers<'a>(bench: &'a Benchmark, config: &Table2Config) -> [Explorer<'a>; 2] {
+    let at_007 = Explorer::new(&bench.cdcg, bench.mesh, Technology::t007(), config.params);
+    let routes = Arc::clone(at_007.route_provider());
+    let at_035 = Explorer::with_provider(
+        &bench.cdcg,
+        bench.mesh,
+        Technology::t035(),
+        config.params,
+        routes,
+    );
+    [at_007, at_035]
+}
+
+/// Searches the best mapping for one strategy at one technology point:
+/// SA once per seed, then ES certification when the space is small.
+fn search_best(explorer: &Explorer<'_>, strategy: Strategy, config: &Table2Config) -> Searched {
+    let space = search_space_size(explorer.cdcg().core_count(), explorer.mesh().tile_count());
+    let mut best: Option<SearchOutcome> = None;
     for s in 0..config.sa_seeds {
         let sa = SaConfig {
             seed: config.sa.seed.wrapping_add(s),
@@ -133,48 +163,27 @@ fn search_best(
     }
 }
 
-/// Runs the experiment on one benchmark.
-///
-/// Following the paper's per-technology ECS columns, the CDCM strategy is
-/// searched *per technology point* (its Equation 10 objective depends on
-/// the leakage share): ECS0.35 compares the winners at 0.35 µ, ECS0.07 at
-/// 0.07 µ. ETR is reported from the 0.07 µ run (the deep-submicron design
-/// point motivating the paper; texec itself is technology-independent).
-pub fn run_benchmark(bench: &Benchmark, config: &Table2Config) -> RowResult {
-    let t035 = Technology::t035();
-    let t007 = Technology::t007();
-    let space = search_space_size(bench.cdcg.core_count(), bench.mesh.tile_count());
+/// Evaluates one row's winners, in [`SEARCHES`] order, under the full
+/// timing/energy model.
+fn assemble_row(bench: &Benchmark, config: &Table2Config, found: [&Searched; 3]) -> RowResult {
+    let [(cwm, cwm_es, cwm_sa_ok), (cdcm_007, cdcm_es, cdcm_sa_ok), (cdcm_035, _, _)] = found;
+    let compare = |tech: Technology, cdcm: &SearchOutcome| {
+        Comparison::evaluate(
+            &bench.cdcg,
+            &bench.mesh,
+            &config.params,
+            std::slice::from_ref(&tech),
+            &cwm.mapping,
+            &cdcm.mapping,
+        )
+        .expect("suite benchmarks schedule cleanly")
+    };
+    let cmp_007 = compare(Technology::t007(), cdcm_007);
+    let cmp_035 = compare(Technology::t035(), cdcm_035);
 
-    // CWM's objective is dynamic-only; the technology point only scales
-    // it, so one search serves both columns.
-    let explorer_007 = Explorer::new(&bench.cdcg, bench.mesh, t007.clone(), config.params);
-    let (cwm, cwm_es, cwm_sa_ok) = search_best(&explorer_007, Strategy::Cwm, config, space);
-    let (cdcm_007, cdcm_es, cdcm_sa_ok) = search_best(&explorer_007, Strategy::Cdcm, config, space);
-    let explorer_035 = Explorer::new(&bench.cdcg, bench.mesh, t035.clone(), config.params);
-    let (cdcm_035, _, _) = search_best(&explorer_035, Strategy::Cdcm, config, space);
-
-    let cmp_007 = Comparison::evaluate(
-        &bench.cdcg,
-        &bench.mesh,
-        &config.params,
-        std::slice::from_ref(&t007),
-        &cwm.mapping,
-        &cdcm_007.mapping,
-    )
-    .expect("suite benchmarks schedule cleanly");
-    let cmp_035 = Comparison::evaluate(
-        &bench.cdcg,
-        &bench.mesh,
-        &config.params,
-        std::slice::from_ref(&t035),
-        &cwm.mapping,
-        &cdcm_035.mapping,
-    )
-    .expect("suite benchmarks schedule cleanly");
-
-    let method = if cwm_es && cdcm_es { "ES+SA" } else { "SA" };
+    let method = if *cwm_es && *cdcm_es { "ES+SA" } else { "SA" };
     let sa_matches_es = match (cwm_sa_ok, cdcm_sa_ok) {
-        (Some(a), Some(b)) => Some(a && b),
+        (Some(a), Some(b)) => Some(*a && *b),
         _ => None,
     };
 
@@ -191,17 +200,57 @@ pub fn run_benchmark(bench: &Benchmark, config: &Table2Config) -> RowResult {
     }
 }
 
+/// Runs the experiment on one benchmark, one search after another.
+///
+/// Following the paper's per-technology ECS columns, the CDCM strategy is
+/// searched *per technology point* (its Equation 10 objective depends on
+/// the leakage share): ECS0.35 compares the winners at 0.35 µ, ECS0.07 at
+/// 0.07 µ. ETR is reported from the 0.07 µ run (the deep-submicron design
+/// point motivating the paper; texec itself is technology-independent).
+pub fn run_benchmark(bench: &Benchmark, config: &Table2Config) -> RowResult {
+    let explorers = row_explorers(bench, config);
+    let [cwm, cdcm_007, cdcm_035] =
+        SEARCHES.map(|(tech, strategy)| search_best(&explorers[tech], strategy, config));
+    assemble_row(bench, config, [&cwm, &cdcm_007, &cdcm_035])
+}
+
 /// Runs the full experiment over the Table 1 suite (optionally a subset
 /// of row indices).
+///
+/// Every row's three searches run as independent jobs on one work pool
+/// ([`par_map`]), largest mesh first, so the long 10×10 and 12×10
+/// searches start before the many short ones. Each search is fixed by
+/// its seeds, so the record is bit-identical to running
+/// [`run_benchmark`] row by row, whatever the thread count.
 pub fn run(config: &Table2Config, row_filter: Option<&[usize]>) -> Table2Record {
     let suite = table1_suite();
-    let mut rows = Vec::new();
-    for (i, bench) in suite.iter().enumerate() {
-        if row_filter.is_some_and(|f| !f.contains(&i)) {
-            continue;
-        }
-        rows.push(run_benchmark(bench, config));
-    }
+    let benches: Vec<&Benchmark> = suite
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| row_filter.is_none_or(|f| f.contains(i)))
+        .map(|(_, bench)| bench)
+        .collect();
+    let explorers: Vec<[Explorer<'_>; 2]> = benches
+        .iter()
+        .map(|bench| row_explorers(bench, config))
+        .collect();
+    let mut jobs: Vec<(usize, usize)> = (0..benches.len())
+        .flat_map(|row| (0..SEARCHES.len()).map(move |search| (row, search)))
+        .collect();
+    jobs.sort_by_key(|&(row, _)| std::cmp::Reverse(benches[row].mesh.tile_count()));
+    let mut found = par_map(jobs, |(row, search)| {
+        let (tech, strategy) = SEARCHES[search];
+        (
+            (row, search),
+            search_best(&explorers[row][tech], strategy, config),
+        )
+    });
+    found.sort_by_key(|&(job, _)| job);
+    let rows: Vec<RowResult> = benches
+        .iter()
+        .zip(found.chunks_exact(SEARCHES.len()))
+        .map(|(bench, found)| assemble_row(bench, config, [&found[0].1, &found[1].1, &found[2].1]))
+        .collect();
 
     let mut groups = Vec::new();
     for (label, indices) in rows_by_noc_size() {
@@ -259,5 +308,36 @@ mod tests {
         assert_eq!(record.groups.len(), 1);
         assert_eq!(record.groups[0].group, "3x2");
         assert!((record.average.etr - row.etr).abs() < 1e-12);
+    }
+
+    #[test]
+    fn parallel_run_equals_the_sequential_rows() {
+        // Four mesh sizes, so the largest-first job order differs from
+        // suite order; fft8-a is ES-certified, tgff-a is not.
+        let small_rows = [0, 1, 3, 6, 9];
+        let config = Table2Config::quick();
+        let record = run(&config, Some(&small_rows));
+        assert_eq!(record.rows.len(), small_rows.len());
+        assert!(record.rows.iter().any(|r| r.sa_matches_es.is_some()));
+        assert!(record.rows.iter().any(|r| r.sa_matches_es.is_none()));
+        let suite = table1_suite();
+        for (row, &i) in record.rows.iter().zip(&small_rows) {
+            let expected = run_benchmark(&suite[i], &config);
+            assert_eq!(row.name, expected.name);
+            assert_eq!(row.etr.to_bits(), expected.etr.to_bits(), "{}", row.name);
+            assert_eq!(
+                row.ecs_035.to_bits(),
+                expected.ecs_035.to_bits(),
+                "{}",
+                row.name
+            );
+            assert_eq!(
+                row.ecs_007.to_bits(),
+                expected.ecs_007.to_bits(),
+                "{}",
+                row.name
+            );
+            assert_eq!(row.sa_matches_es, expected.sa_matches_es, "{}", row.name);
+        }
     }
 }

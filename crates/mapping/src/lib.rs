@@ -75,7 +75,7 @@ pub use exhaustive::{exhaustive, for_each_mapping, search_space_size};
 pub use explorer::{Explorer, SearchMethod, Strategy};
 pub use greedy::greedy;
 pub use noc_search::{
-    AdaptiveConfig, AdaptiveRestarts, CancelToken, Crossover, GaConfig, GeneticSearch,
+    par_map, AdaptiveConfig, AdaptiveRestarts, CancelToken, Crossover, GaConfig, GeneticSearch,
     MultiStartSa, Portfolio, PortfolioConfig, SearchRun, SearchStrategy, SearchTelemetry,
     TabuConfig, TabuSearch, Tenure,
 };

@@ -18,10 +18,10 @@
 //!
 //! Determinism: members own their RNG streams and objective clones, so a
 //! member's trajectory depends only on its seed and cumulative quota.
-//! Rounds may execute members on any number of threads; results are
-//! collected by member index and every ranking tie breaks toward the
-//! lower index (the same deterministic-reduction rule as
-//! `anneal_multistart`).
+//! Rounds advance members on the crate's work pool ([`crate::par_map`])
+//! across any number of threads; every ranking reads members by index
+//! and breaks ties toward the lower index (the same
+//! deterministic-reduction rule as `anneal_multistart`).
 //!
 //! The objective clones are also what keeps the walk-memoization story
 //! lock-free under round advancement: a simulator-backed objective's
@@ -33,6 +33,7 @@
 use crate::cancel::CancelToken;
 use crate::objective::SwapDeltaCost;
 use crate::outcome::SearchOutcome;
+use crate::pool::par_map;
 use crate::runner::SaMember;
 use crate::strategy::{SearchRun, SearchStrategy};
 use crate::telemetry::{MemberBudget, RoundTelemetry, SearchTelemetry};
@@ -106,53 +107,21 @@ impl AdaptiveRestarts {
     }
 }
 
-/// Advances the members named by `jobs` (`(member index, quota)`), in
-/// parallel when the machine has cores to spare. Results land back in
-/// `slots` by member index — placement never affects the outcome.
+/// Advances the members named by `jobs` (`(member index, quota)`, in
+/// increasing member order) on the crate's work pool. Each member owns
+/// its RNG stream and objective clone, so placement never affects the
+/// outcome.
 fn advance_round<C: SwapDeltaCost + Send>(
-    slots: &mut [Option<SaMember<C>>],
-    jobs: Vec<(usize, u64)>,
+    members: &mut [SaMember<C>],
+    jobs: &[(usize, u64)],
     mesh: &Mesh,
 ) {
-    // noc-verify: allow(DET03) — thread count only batches members across workers; results land back by member index, so placement never affects the outcome
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(jobs.len().max(1));
-    if threads <= 1 {
-        for (id, quota) in jobs {
-            let member = slots[id].as_mut().expect("member parked in its slot");
-            member.advance(mesh, quota);
-        }
-        return;
-    }
-    let mut batches: Vec<Vec<(usize, SaMember<C>, u64)>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    for (pos, (id, quota)) in jobs.into_iter().enumerate() {
-        let member = slots[id].take().expect("member parked in its slot");
-        batches[pos % threads].push((id, member, quota));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|batch| {
-                scope.spawn(move || {
-                    batch
-                        .into_iter()
-                        .map(|(id, mut member, quota)| {
-                            member.advance(mesh, quota);
-                            (id, member)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (id, member) in handle.join().expect("search worker panicked") {
-                slots[id] = Some(member);
-            }
-        }
-    });
+    let mut members = members.iter_mut();
+    let work: Vec<(&mut SaMember<C>, u64)> = jobs
+        .iter()
+        .filter_map(|&(id, quota)| members.find(|m| m.id == id).map(|m| (m, quota)))
+        .collect();
+    par_map(work, |(member, quota)| member.advance(mesh, quota));
 }
 
 impl<C: SwapDeltaCost + Clone + Send> SearchStrategy<C> for AdaptiveRestarts {
@@ -175,9 +144,9 @@ impl<C: SwapDeltaCost + Clone + Send> SearchStrategy<C> for AdaptiveRestarts {
 
         // Clones happen on the calling thread (like `run_multistart`), so
         // `C` needs `Clone + Send` but not `Sync`.
-        let mut slots: Vec<Option<SaMember<C>>> = (0..population)
+        let mut members: Vec<SaMember<C>> = (0..population)
             .map(|id| {
-                Some(SaMember::new(
+                SaMember::new(
                     objective.clone(),
                     mesh,
                     core_count,
@@ -185,7 +154,7 @@ impl<C: SwapDeltaCost + Clone + Send> SearchStrategy<C> for AdaptiveRestarts {
                     id,
                     config.cooling,
                     config.moves_per_epoch,
-                ))
+                )
             })
             .collect();
         let mut active: Vec<usize> = (0..population).collect();
@@ -220,12 +189,12 @@ impl<C: SwapDeltaCost + Clone + Send> SearchStrategy<C> for AdaptiveRestarts {
                 .map(|&(member, evals)| MemberBudget { member, evals })
                 .collect();
             spent += round_budget;
-            advance_round(&mut slots, jobs, mesh);
+            advance_round(&mut members, &jobs, mesh);
 
             // Global best after the round: lowest cost, ties to the
             // lowest member index.
             let (mut best_id, mut best_cost) = (usize::MAX, f64::INFINITY);
-            for member in slots.iter().flatten() {
+            for member in &members {
                 if member.started() && member.best_cost < best_cost {
                     best_cost = member.best_cost;
                     best_id = member.id;
@@ -240,16 +209,15 @@ impl<C: SwapDeltaCost + Clone + Send> SearchStrategy<C> for AdaptiveRestarts {
             if round + 1 < rounds && active.len() > 1 {
                 let mut ranked = active.clone();
                 ranked.sort_by(|&a, &b| {
-                    let (ca, cb) = (
-                        slots[a].as_ref().expect("parked").best_cost,
-                        slots[b].as_ref().expect("parked").best_cost,
-                    );
-                    ca.total_cmp(&cb).then(a.cmp(&b))
+                    members[a]
+                        .best_cost
+                        .total_cmp(&members[b].best_cost)
+                        .then(a.cmp(&b))
                 });
                 ranked.truncate((active.len() / 2).max(1));
                 ranked.sort_unstable();
                 for &id in &ranked {
-                    slots[id].as_mut().expect("parked").reheat(config.reheat);
+                    members[id].reheat(config.reheat);
                 }
                 survivors = ranked;
             }
@@ -268,13 +236,13 @@ impl<C: SwapDeltaCost + Clone + Send> SearchStrategy<C> for AdaptiveRestarts {
         // bests), re-verified from scratch so the reported cost carries
         // no incremental drift (unbilled, as in `anneal_delta`).
         let mut winner: Option<&SaMember<C>> = None;
-        for member in slots.iter().flatten() {
+        for member in &members {
             if member.started() && winner.is_none_or(|w| member.best_cost < w.best_cost) {
                 winner = Some(member);
             }
         }
         let winner = winner.expect("budget >= 1 ran at least one member");
-        let evaluations: u64 = slots.iter().flatten().map(|m| m.evaluations).sum();
+        let evaluations: u64 = members.iter().map(|m| m.evaluations).sum();
         debug_assert!(
             cancel.is_cancelled() || evaluations == budget,
             "adaptive bills its exact budget"

@@ -41,7 +41,8 @@
 //! objective clones, carry a stable index, land their results by that
 //! index, and every ranking/reduction tie breaks toward the lowest
 //! index — never completion order. Telemetry falls under the same
-//! guarantee.
+//! guarantee. [`par_map`] is the one work pool that carries this rule:
+//! it returns results in input order whatever the thread count.
 //!
 //! ## Strategies
 //!
@@ -73,6 +74,7 @@ pub mod cancel;
 pub mod ga;
 pub mod objective;
 pub mod outcome;
+pub mod pool;
 pub mod portfolio;
 pub mod random;
 mod runner;
@@ -85,6 +87,7 @@ pub use cancel::CancelToken;
 pub use ga::{Crossover, GaConfig, GeneticSearch};
 pub use objective::{BatchCost, CostFunction, SwapDeltaCost};
 pub use outcome::SearchOutcome;
+pub use pool::par_map;
 pub use portfolio::{Portfolio, PortfolioConfig};
 pub use random::{random_search, sample_mapping};
 pub use sa::{

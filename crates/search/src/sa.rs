@@ -450,64 +450,18 @@ where
 {
     let restarts = budget.effective_restarts(config.max_evaluations, restarts);
     let start = crate::telemetry::wall_clock();
-    let jobs: Vec<(usize, C, SaConfig)> = (0..restarts)
+    let jobs: Vec<(C, SaConfig)> = (0..restarts)
         .map(|i| {
             let config = SaConfig {
                 seed: config.seed.wrapping_add(i as u64),
                 max_evaluations: budget.for_restart(config.max_evaluations, i, restarts),
                 ..*config
             };
-            (i, objective.clone(), config)
+            (objective.clone(), config)
         })
         .collect();
-    // noc-verify: allow(DET03) — thread count only shapes work placement; each restart's trajectory is fixed by its seed and the reduction is order-insensitive
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(restarts);
-
-    let mut outcomes: Vec<Option<SearchOutcome>> = (0..restarts).map(|_| None).collect();
-    if threads <= 1 {
-        for (i, obj, cfg) in jobs {
-            outcomes[i] = Some(run(&obj, cfg));
-        }
-    } else {
-        // Round-robin the restarts over `threads` workers; results carry
-        // their restart index, so placement does not affect the reduction.
-        let mut batches: Vec<Vec<(usize, C, SaConfig)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for job in jobs {
-            let slot = job.0 % threads;
-            batches[slot].push(job);
-        }
-        let run = &run;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = batches
-                .into_iter()
-                .map(|batch| {
-                    scope.spawn(move || {
-                        batch
-                            .into_iter()
-                            .map(|(i, obj, cfg)| (i, run(&obj, cfg)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, outcome) in handle.join().expect("search worker panicked") {
-                    outcomes[i] = Some(outcome);
-                }
-            }
-        });
-    }
-    reduce_multistart(
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("all restarts ran"))
-            .collect(),
-        restarts,
-        start,
-    )
+    let outcomes = crate::pool::par_map(jobs, |(obj, cfg)| run(&obj, cfg));
+    reduce_multistart(outcomes, restarts, start)
 }
 
 /// Parallel multi-start simulated annealing: `restarts` independent

@@ -539,6 +539,13 @@ pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
     }
 }
 
+/// Longest request line the socket server reads, in bytes, newline
+/// excluded: 8 MiB, about 30 times the largest real request (a 4096-core
+/// 64×64 submit line, 0.26 MB). A longer line gets an `"ok":false` reply
+/// and its connection closes, so no client can make the server buffer
+/// without bound.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
 // ---------------------------------------------------------------------------
 // Unix-socket server and client
 // ---------------------------------------------------------------------------
@@ -546,7 +553,7 @@ pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
 #[cfg(unix)]
 mod unix {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -590,12 +597,29 @@ mod unix {
             Ok(w) => w,
             Err(_) => return,
         };
-        for line in BufReader::new(stream).lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(stream);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the cap tells a capped line from a full one.
+            let limit = MAX_LINE_BYTES as u64 + 1;
+            match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+            if line.len() > MAX_LINE_BYTES {
+                let error = error_line(&format!("request line longer than {MAX_LINE_BYTES} bytes"));
+                let _ = writer.write_all(format!("{error}\n").as_bytes());
+                return;
+            }
+            let Ok(line) = std::str::from_utf8(line) else {
+                break;
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            let reply = handle_line(handle, &line);
+            let reply = handle_line(handle, line);
             if writer
                 .write_all(format!("{}\n", reply.line).as_bytes())
                 .is_err()
@@ -796,6 +820,65 @@ mod tests {
         // The service keeps serving.
         let reply = handle_line(&handle, &encode_op("stats", None));
         assert!(reply.line.contains("\"ok\":true"), "{}", reply.line);
+    }
+
+    #[test]
+    fn a_4096_core_submit_line_round_trips() {
+        let app = noc_apps::large_mesh_workload(64, 64, 1);
+        let mesh = Mesh::new(64, 64).expect("64x64 mesh");
+        let method = SearchMethod::Genetic(noc_search::GaConfig::new(1));
+        let request = JobRequest::Solve(Box::new(SolveRequest::new(app, mesh, method)));
+        let line = encode_submit(&request, Priority::Normal);
+        assert!(line.len() < MAX_LINE_BYTES / 8, "{} bytes", line.len());
+        let value = serde_json::parse(&line).expect("the line parses");
+        let spec = value.get_field("job").expect("submit carries a job");
+        let parsed = parse_job(spec).expect("the job parses");
+        assert_eq!(encode_submit(&parsed, Priority::Normal), line);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn oversized_socket_lines_get_a_typed_error_and_the_server_keeps_serving() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixStream;
+        let path = std::env::temp_dir().join(format!("noc-line-cap-{}.sock", std::process::id()));
+        let service = service();
+        let server = {
+            let (handle, path) = (service.handle(), path.clone());
+            std::thread::spawn(move || serve_unix(handle, &path))
+        };
+        let stream = (0..500)
+            .find_map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                UnixStream::connect(&path).ok()
+            })
+            .expect("the server listens");
+        let mut writer = stream.try_clone().expect("stream clones");
+        let sender = std::thread::spawn(move || {
+            // The server may hang up before reading it all.
+            let _ = writer.write_all(&vec![b'['; MAX_LINE_BYTES + 1]);
+            let _ = writer.write_all(b"\n");
+        });
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("a reply line");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains("longer than"), "{reply}");
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).expect("EOF"), 0, "{reply}");
+        sender.join().expect("sender thread");
+
+        // A line of exactly the cap is read whole (and is bad JSON).
+        let at_cap = "[".repeat(MAX_LINE_BYTES);
+        let reply = request_unix(&path, &at_cap).expect("a reply");
+        assert!(reply.contains("bad request"), "{reply}");
+        let reply = request_unix(&path, &encode_op("stats", None)).expect("a reply");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        request_unix(&path, &encode_op("shutdown", None)).expect("a reply");
+        server
+            .join()
+            .expect("server thread")
+            .expect("server exits cleanly");
     }
 
     #[test]

@@ -292,12 +292,23 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-decode UTF-8: step back and take the full char.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(Error::new)?;
-                    let c = rest.chars().next().unwrap();
+                    // Decode just the char `b` leads: its lead byte gives
+                    // its width, so each byte is decoded once.
+                    let start = self.pos - 1;
+                    let width = match b {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(start..start + width)
+                        .and_then(|char_bytes| std::str::from_utf8(char_bytes).ok())
+                        .and_then(|text| text.chars().next())
+                        .ok_or_else(|| Error::new(format!("invalid UTF-8 at byte {start}")))?;
                     out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos = start + width;
                 }
             }
         }
@@ -449,6 +460,21 @@ mod tests {
         assert!(parse(&too_deep).is_err());
         assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
         assert!(parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn multibyte_chars_decode_between_escapes() {
+        // 1-, 2-, 3- and 4-byte chars, next to each other and to escapes.
+        let text = "aé€😀\"\\\n\t/ü\u{e9}x€😀€é";
+        let json = to_string(&text.to_string()).unwrap();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, text);
+        let v: Vec<String> = from_str("[\"é\\n€\", \"\\u20ac😀\\\"\", \"😀😀\"]").unwrap();
+        assert_eq!(v, vec!["é\n€", "€😀\"", "😀😀"]);
+        // A long line of multi-byte strings parses in one pass.
+        let many: Vec<String> = (0..20_000).map(|i| format!("c€{i}😀")).collect();
+        let back: Vec<String> = from_str(&to_string(&many).unwrap()).unwrap();
+        assert_eq!(back, many);
     }
 
     #[test]
