@@ -86,6 +86,30 @@ fn figure3b_is_contention_free_with_overlapping_ejection() {
     assert!(bf.overlaps(&af));
 }
 
+/// `GanttChart::render(100)` of Figure 4: mapping (c), one 7-cycle contention episode on A→F.
+const FIGURE4_GANTT: &str = "\
+time: 0..100 cycles, 1 cycle(s) per column
+15(A→B):6  |======>>>>>>>##############.........................................................................|
+40(B→F):10 |==========>>>>>>>#######################################............................................|
+20(E→A):10 |==========>>>>>>>###################................................................................|
+15(E→A):20 |....................................====================>>>>>>>##############.......................|
+15(A→F):6  |....................................======>>>>>>XXXXXXX>>>>##############...........................|
+15(F→B):6  |.........................................................................======>>>>>>>##############|
+legend: ==computation delay, >=routing delay, #=packet delay, X=contention delay, w=injection wait
+";
+
+/// `GanttChart::render(100)` of Figure 5: mapping (d), contention-free.
+const FIGURE5_GANTT: &str = "\
+time: 0..90 cycles, 1 cycle(s) per column
+15(A→B):6  |======>>>>>>>>>>##############............................................................|
+40(B→F):10 |==========>>>>>>>#######################################..................................|
+20(E→A):10 |==========>>>>>>>###################......................................................|
+15(E→A):20 |....................................====================>>>>>>>##############.............|
+15(A→F):6  |....................................======>>>>>>>##############...........................|
+15(F→B):6  |...............................................................======>>>>>>>##############|
+legend: ==computation delay, >=routing delay, #=packet delay, X=contention delay, w=injection wait
+";
+
 #[test]
 fn figures_4_and_5_timing_diagrams() {
     let cdcg = figure1_cdcg();
@@ -102,6 +126,7 @@ fn figures_4_and_5_timing_diagrams() {
         .map(|r| r.cycles_in(SegmentKind::Contention))
         .sum();
     assert_eq!(contention, 7);
+    assert_eq!(chart_a.render(100), FIGURE4_GANTT);
 
     let b = schedule(&cdcg, &mesh, &mapping_d(), &params).expect("schedules");
     let chart_b = GanttChart::from_schedule(&b, &cdcg);
@@ -109,6 +134,7 @@ fn figures_4_and_5_timing_diagrams() {
     for row in chart_b.rows() {
         assert_eq!(row.cycles_in(SegmentKind::Contention), 0);
     }
+    assert_eq!(chart_b.render(100), FIGURE5_GANTT);
 
     // "an execution time reduction of 11.1%, from 100 ns to 90 ns".
     // 100→90 is 10.0% of the original; the paper's 11.1% is the inverse
