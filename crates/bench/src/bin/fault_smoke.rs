@@ -4,7 +4,7 @@
 //!
 //! * **Zero-fault gate** — the fault-aware route tier with an empty
 //!   `FaultSet` must be bit-identical to the implicit tier: same
-//!   `schedule_cost`, same CDCM cost, and the exact same seed-pinned
+//!   `schedule_cost_with`, same CDCM cost, and the exact same seed-pinned
 //!   delta-SA trajectory. Any divergence here means the "fast path"
 //!   stopped being the healthy dimension-order walk.
 //! * **Pinned recovery run** — a fixed k=2 link-failure scenario on a
@@ -56,7 +56,10 @@ fn zero_fault_gate() {
         .expect("schedules");
     let got = schedule_cost_with(&cdcg, &mesh, &mapping, &params, &fault, &mut scratch)
         .expect("schedules");
-    assert_eq!(got, want, "zero-fault schedule_cost must be bit-identical");
+    assert_eq!(
+        got, want,
+        "zero-fault schedule_cost_with must be bit-identical"
+    );
 
     let mut config = SaConfig::quick(29);
     config.max_evaluations = 300;
@@ -77,7 +80,7 @@ fn zero_fault_gate() {
     assert_eq!(outcomes[0].cost, outcomes[1].cost);
     assert_eq!(outcomes[0].evaluations, outcomes[1].evaluations);
     println!(
-        "zero-fault gate: OK (schedule_cost {want}, SA cost {:.1} pJ)",
+        "zero-fault gate: OK (schedule_cost_with {want}, SA cost {:.1} pJ)",
         outcomes[0].cost
     );
 }
@@ -221,7 +224,7 @@ fn main() {
     let path = write_record(
         "fault_smoke",
         &Record {
-            zero_fault_gate: "bit-identical (schedule_cost, CDCM SA trajectory)",
+            zero_fault_gate: "bit-identical (schedule_cost_with, CDCM SA trajectory)",
             instances,
         },
     );

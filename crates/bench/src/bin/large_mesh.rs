@@ -96,7 +96,7 @@ fn main() {
             let tier = provider.tier();
             let ns = eval_ns_per_call(&mesh, &provider, evals);
             println!(
-                "{w}x{h} schedule_cost [{}]: {:.2} ms/eval",
+                "{w}x{h} schedule_cost_with [{}]: {:.2} ms/eval",
                 tier.name(),
                 ns / 1e6
             );

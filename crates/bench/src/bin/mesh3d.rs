@@ -125,7 +125,7 @@ fn main() {
                 );
                 let ns = eval_ns_per_call(&mesh, &provider, evals);
                 println!(
-                    "{w}x{h}x{d} schedule_cost [{} / {}]: {:.1} us/eval",
+                    "{w}x{h}x{d} schedule_cost_with [{} / {}]: {:.1} us/eval",
                     kind.name(),
                     tier.name(),
                     ns / 1e3

@@ -210,13 +210,9 @@ fn execute_evaluate(req: &EvaluateRequest) -> Result<EvaluateResult, String> {
         routing,
     )
     .map_err(|e| e.to_string())?;
-    let gantt = if req.gantt {
-        let sched = noc_sim::schedule_with(&req.app, &req.mesh, &req.mapping, &req.params, routing)
-            .map_err(|e| e.to_string())?;
-        Some(GanttChart::from_schedule(&sched, &req.app).render(100))
-    } else {
-        None
-    };
+    let gantt = req
+        .gantt
+        .then(|| GanttChart::from_schedule(&eval.schedule, &req.app).render(100));
     Ok(EvaluateResult {
         mapping: req.mapping.clone(),
         routing: routing.name().to_owned(),
@@ -226,4 +222,45 @@ fn execute_evaluate(req: &EvaluateRequest) -> Result<EvaluateResult, String> {
         contention_cycles: eval.schedule.total_contention_cycles(),
         gantt,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_apps::paper_example::{figure1_cdcg, mapping_c, mesh_2x2};
+    use noc_energy::Technology;
+    use noc_model::RoutingKind;
+    use noc_sim::{schedule_with, SimParams};
+
+    #[test]
+    fn evaluate_gantt_renders_the_schedule_of_the_request() {
+        for routing in [RoutingKind::Xy, RoutingKind::Yx] {
+            let req = EvaluateRequest {
+                app: figure1_cdcg(),
+                mesh: mesh_2x2(),
+                mapping: mapping_c(),
+                tech: Technology::paper_example(),
+                params: SimParams::paper_example(),
+                routing,
+                gantt: true,
+            };
+            let reply = execute_evaluate(&req).unwrap();
+            let sched = schedule_with(
+                &req.app,
+                &req.mesh,
+                &req.mapping,
+                &req.params,
+                routing.algorithm(),
+            )
+            .unwrap();
+            let chart = GanttChart::from_schedule(&sched, &req.app).render(100);
+            assert_eq!(reply.gantt, Some(chart), "{routing:?}");
+            let quiet = execute_evaluate(&EvaluateRequest {
+                gantt: false,
+                ..req
+            })
+            .unwrap();
+            assert_eq!(quiet.gantt, None);
+        }
+    }
 }

@@ -192,7 +192,7 @@ impl<'a> BatchEvaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Same as [`schedule_cost`](crate::schedule_cost()), checked per
+    /// Same as [`schedule_cost_with`](crate::schedule_cost_with()), checked per
     /// candidate; the first failing candidate aborts the batch.
     pub fn evaluate<M: std::borrow::Borrow<Mapping>>(
         &mut self,
@@ -298,7 +298,7 @@ impl<'a> BatchEvaluator<'a> {
                 None => self.routes.flat(&self.walks),
             };
             let (texec, delivered, events) =
-                run_loop(self.cdcg, &self.params, flat, &mut self.scratch);
+                run_loop(self.cdcg, &self.params, flat, &mut self.scratch, &mut ());
             debug_assert_eq!(
                 delivered, n_packets,
                 "DAG execution must deliver all packets"

@@ -1,31 +1,33 @@
-//! Cost-only fast path of the interval scheduler.
+//! The interval model's one event loop, and its cost-only entry points.
 //!
-//! [`schedule_cost`] runs exactly the event-driven algorithm of
-//! [`crate::schedule`] — same events, same FIFO and arbitration rules,
-//! same tie-breaking (the [`crate::event`] types are shared) — but
-//! computes **only** what a mapping cost function needs: the application
-//! execution time `texec` and per-link traversal statistics. It does not
-//! materialize [`PacketSchedule`](crate::PacketSchedule)s, an
-//! [`OccupancyMap`](crate::OccupancyMap) or a contention log, and it
-//! performs **no per-call allocation**: all working state lives in a
-//! reusable [`ScheduleScratch`] whose per-link tables are indexed by the
-//! dense link ids of a shared route source — a dense [`RouteCache`] or
-//! any tier of [`noc_model::RouteProvider`] (see [`schedule_cost_with`])
-//! — instead of `HashMap<Link, _>`.
+//! `run_loop` executes the paper's §4 CDCM algorithm — injection,
+//! router entry and input-port FIFO, routing decision, FCFS link
+//! arbitration, delivery and dependence wake-up — on dense link ids
+//! over preallocated scratch state ([`ScheduleScratch`]). It is the only
+//! implementation of the interval model in this crate. What a run leaves
+//! behind is up to its `Recorder`:
 //!
-//! The contract, enforced by unit tests here and by the repository's
-//! property tests: for every application, mesh, mapping and parameter
-//! set, `schedule_cost` returns exactly
-//! `schedule(...)?.texec_cycles()` — bit-exact, not approximate. Use the
-//! full [`schedule`](crate::schedule()) when the occupancy lists, per-packet
-//! timelines or the contention log are needed (reports, Gantt charts,
-//! energy *breakdowns*); use this path inside search loops, where the
-//! schedule itself is discarded and only the scalar cost survives.
+//! * `()` records nothing. [`schedule_cost_with`], [`CostEvaluator`]
+//!   and the [`BatchEvaluator`](crate::BatchEvaluator) use it; they
+//!   keep only `texec` and per-link traversal counts, and after warm-up
+//!   a cost evaluation allocates nothing. Use this path inside search
+//!   loops, where only the scalar cost survives.
+//! * The schedule recorder of [`crate::schedule`](mod@crate::schedule)
+//!   turns the same run into per-packet timelines, the occupancy lists
+//!   (the paper's cost variable lists, Figure 3) and the contention log.
+//!   Use [`schedule`](crate::schedule()) when those artifacts are
+//!   needed (reports, Gantt charts, energy *breakdowns*).
 //!
-//! [`CostEvaluator`] bundles an application with a route cache and a
-//! scratch into a reusable engine; it is the building block
-//! `noc-energy`'s cost-only CDCM evaluation and `noc-mapping`'s
-//! objectives are made of.
+//! Both recorders see the same events, so `schedule_cost_with` returns
+//! exactly `schedule(...)?.texec_cycles()` by construction. The
+//! independent check of the timing model is the flit-level simulator in
+//! [`crate::des`].
+//!
+//! Routes come from any [`RouteSource`]: a dense [`RouteCache`] or any
+//! tier of [`noc_model::RouteProvider`]. [`CostEvaluator`] bundles an
+//! application with a route provider and a scratch into a reusable
+//! engine; it is the building block `noc-energy`'s cost-only CDCM
+//! evaluation and `noc-mapping`'s objectives are made of.
 
 use crate::error::SimError;
 use crate::params::SimParams;
@@ -38,14 +40,12 @@ use noc_model::{
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-// The fast path packs each pending event into one `u128` key whose
-// integer ordering is *exactly* the lexicographic `(time, packet, phase)`
-// ordering of [`crate::event::Event`] — the invariant that keeps this
-// path bit-identical to the full scheduler. Layout, most significant
-// first: `time` (64 bits) | `packet` (30 bits) | phase variant (2 bits,
-// Inject=0 < RouterEntry=1 < Decide=2 < LinkRequest=3, matching the
-// declaration order the derived `Ord` of `Phase` compares by) | `hop`
-// (32 bits, the tie-breaker *within* a variant, again as derived).
+// Each pending event is packed into one `u128` key, and the keys' integer
+// order is the event order: by time, then packet id, then phase, then
+// hop. Layout, most significant first: `time` (64 bits) | `packet` (30
+// bits) | phase (2 bits: Inject=0 < RouterEntry=1 < Decide=2 <
+// LinkRequest=3) | `hop` (32 bits). A packet has at most one pending
+// event, so the order is total and every min-queue pops the same run.
 pub(crate) const PACKET_LIMIT: usize = 1 << 30;
 pub(crate) const INJECT: u32 = 0;
 const ROUTER_ENTRY: u32 = 1;
@@ -76,7 +76,7 @@ struct FifoSlot {
     parked: VecDeque<(u32, u32, u64)>,
 }
 
-/// Reusable working state of [`schedule_cost`].
+/// Reusable working state of the interval model's event loop.
 ///
 /// Buffers grow to the high-water mark of the instances they evaluate and
 /// are reused across calls — after warm-up, a cost evaluation allocates
@@ -260,40 +260,22 @@ impl ScheduleScratch {
 }
 
 /// Computes the application execution time of `cdcg` on `mesh` under
-/// `mapping` — exactly [`schedule`](crate::schedule())'s `texec_cycles()`,
-/// but allocation-free. See the module docs for the contract.
+/// `mapping` over any [`RouteSource`] — a dense [`RouteCache`] or any
+/// tier of [`RouteProvider`] — exactly [`schedule`](crate::schedule())'s
+/// `texec_cycles()`, but allocation-free once `scratch` is warm. Results
+/// are bit-identical across sources built for the same mesh and routing
+/// algorithm: the engine depends only on which walks share which links,
+/// not on the numbering.
 ///
-/// `cache` must have been built for `mesh` with the routing algorithm the
+/// `routes` must have been built with the routing algorithm the
 /// comparison schedule would use (XY for [`schedule`](crate::schedule())).
 ///
 /// # Errors
 ///
 /// Returns the same errors as [`schedule`](crate::schedule()):
 /// [`SimError::CoreCountMismatch`] on a core-count mismatch and
-/// [`SimError::Model`] for invalid mappings or out-of-mesh tiles.
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different mesh than `mesh`.
-pub fn schedule_cost(
-    cdcg: &Cdcg,
-    mesh: &Mesh,
-    mapping: &Mapping,
-    params: &SimParams,
-    cache: &RouteCache,
-    scratch: &mut ScheduleScratch,
-) -> Result<u64, SimError> {
-    schedule_cost_with(cdcg, mesh, mapping, params, cache, scratch)
-}
-
-/// [`schedule_cost`] over any [`RouteSource`] — a dense [`RouteCache`]
-/// or any tier of [`RouteProvider`]. Results are bit-identical across
-/// sources built for the same mesh and routing algorithm: the engine
-/// depends only on which walks share which links, not on the numbering.
-///
-/// # Errors
-///
-/// Same as [`schedule_cost`].
+/// [`SimError::Model`] for invalid mappings, out-of-mesh tiles or (on
+/// the fault-aware tier) partitioned pairs.
 ///
 /// # Panics
 ///
@@ -309,35 +291,6 @@ pub fn schedule_cost_with<S: RouteSource + ?Sized>(
     schedule_cost_inner(cdcg, mesh, mapping, params, routes, None, scratch)
 }
 
-/// [`schedule_cost_with`] accelerated by a per-evaluator [`WalkMemo`]:
-/// route resolutions hit the memo's lock-free pair→span table instead of
-/// the provider's shared cache, turning repeat pairs into a single probe.
-/// Results are bit-identical to the unmemoized path — the memo replays
-/// the exact walks the provider produced.
-///
-/// `routes` must be a *buffering* source (one that appends walks to the
-/// caller's arena — any [`RouteProvider`] tier except dense; see
-/// [`RouteProvider::memo_compatible`]).
-///
-/// # Errors
-///
-/// Same as [`schedule_cost`].
-///
-/// # Panics
-///
-/// Panics if `routes` was built for a different mesh than `mesh`.
-pub fn schedule_cost_memoized<S: RouteSource + ?Sized>(
-    cdcg: &Cdcg,
-    mesh: &Mesh,
-    mapping: &Mapping,
-    params: &SimParams,
-    routes: &S,
-    memo: &mut WalkMemo,
-    scratch: &mut ScheduleScratch,
-) -> Result<u64, SimError> {
-    schedule_cost_inner(cdcg, mesh, mapping, params, routes, Some(memo), scratch)
-}
-
 fn schedule_cost_inner<S: RouteSource + ?Sized>(
     cdcg: &Cdcg,
     mesh: &Mesh,
@@ -349,7 +302,8 @@ fn schedule_cost_inner<S: RouteSource + ?Sized>(
 ) -> Result<u64, SimError> {
     init_run(cdcg, mesh, mapping, params, routes, memo, scratch)?;
     let walks = std::mem::take(&mut scratch.walks);
-    let (texec, delivered, events_done) = run_loop(cdcg, params, routes.flat(&walks), scratch);
+    let (texec, delivered, events_done) =
+        run_loop(cdcg, params, routes.flat(&walks), scratch, &mut ());
     scratch.walks = walks;
     scratch.note_run(events_done);
     debug_assert_eq!(
@@ -361,7 +315,7 @@ fn schedule_cost_inner<S: RouteSource + ?Sized>(
 }
 
 /// Validates the instance, sizes the scratch, resolves spans/flits and
-/// seeds the start events — everything [`schedule_cost`] does before its
+/// seeds the start events — everything an evaluation does before its
 /// event loop. For buffering route sources the packet walks land in
 /// `scratch.walks` (cleared first); dense sources leave it empty and
 /// span their shared flat array.
@@ -434,14 +388,53 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
     Ok(())
 }
 
-/// The shared event loop of the cost engine. Starts from an initialized
-/// scratch and runs the event queue dry. Returns `(texec, delivered
-/// packets, events processed)`.
-pub(crate) fn run_loop(
+/// Observer of one [`run_loop`] run. Every hook defaults to doing
+/// nothing, so `()` records nothing and its calls compile away; the
+/// schedule recorder of [`crate::schedule`](mod@crate::schedule) builds
+/// the full artifacts.
+///
+/// Packets are indices into the application's packet list; `walk` is a
+/// packet's resource walk `[injection, internals..., ejection]` in
+/// dense link ids.
+pub(crate) trait Recorder {
+    /// Packet `p` requests its injection link at `time`.
+    fn injected(&mut self, _p: usize, _time: u64) {}
+
+    /// The header of `p` enters the next router of its walk at `time`.
+    fn router_entered(&mut self, _p: usize, _time: u64) {}
+
+    /// `p` requested `walk[pos]` at `requested`, entered it at `entry`
+    /// and holds it until `until`.
+    fn link_granted(
+        &mut self,
+        _p: usize,
+        _walk: &[u32],
+        _pos: usize,
+        _requested: u64,
+        _entry: u64,
+        _until: u64,
+    ) {
+    }
+
+    /// `p` arrived at the input-port FIFO fed by `link` at `arrival` and
+    /// became its head at `head` (equal when it did not wait).
+    fn fifo_wait(&mut self, _p: usize, _link: u32, _arrival: u64, _head: u64) {}
+
+    /// The last flit of `p` reaches the destination core at `time`.
+    fn delivered(&mut self, _p: usize, _time: u64) {}
+}
+
+impl Recorder for () {}
+
+/// The event loop of the interval model. Starts from an initialized
+/// scratch and runs the event queue dry, reporting each step to `rec`.
+/// Returns `(texec, delivered packets, events processed)`.
+pub(crate) fn run_loop<R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,
     flat: &[u32],
     scratch: &mut ScheduleScratch,
+    rec: &mut R,
 ) -> (u64, usize, u64) {
     let tl = params.link_cycles;
     let tr = params.routing_cycles;
@@ -461,6 +454,7 @@ pub(crate) fn run_loop(
         let n = scratch.flits[p];
         match variant {
             INJECT => {
+                rec.injected(p, time);
                 let slot = scratch.link(path[0]);
                 let entry = if params.injection_serialization {
                     time.max(slot.free)
@@ -469,12 +463,15 @@ pub(crate) fn run_loop(
                 };
                 slot.free = entry + n * tl;
                 slot.traversals += 1;
+                rec.link_granted(p, path, 0, time, entry, slot.free);
                 scratch.queue.push(pack(entry + tl, p, ROUTER_ENTRY, 0));
             }
             ROUTER_ENTRY => {
                 // The feeding link of router `hop` is `path[hop]`; the
                 // input-port FIFO does not apply to un-serialized
-                // injection links (see `schedule`'s `fifo_applies`).
+                // injection links: with infinite bandwidth the core
+                // link cannot order its arrivals.
+                rec.router_entered(p, time);
                 let applies = hop > 0 || params.injection_serialization;
                 if !applies {
                     scratch.queue.push(pack(time, p, DECIDE, hop as u32));
@@ -485,6 +482,8 @@ pub(crate) fn run_loop(
                     } else {
                         let eff = time.max(slot.clear);
                         slot.busy = true;
+                        // noc-verify: allow(PANIC01) — ROUTER_ENTRY is only pushed for hops below the walk's router count k = len - 1
+                        rec.fifo_wait(p, path[hop], time, eff);
                         scratch.queue.push(pack(eff, p, DECIDE, hop as u32));
                     }
                 }
@@ -502,15 +501,18 @@ pub(crate) fn run_loop(
                     };
                     slot.free = entry + n * tl;
                     slot.traversals += 1;
+                    rec.link_granted(p, path, k, request, entry, slot.free);
                     release_fifo(
                         scratch,
                         path[hop],
                         hop > 0 || params.injection_serialization,
                         entry + (n - 1) * tl + 1,
+                        rec,
                     );
                     let delivery = entry + n * tl;
                     texec = texec.max(delivery);
                     delivered += 1;
+                    rec.delivered(p, delivery);
                     // Wake up dependent packets.
                     for &succ in cdcg.successors(PacketId::new(p)) {
                         let s = succ.index();
@@ -541,11 +543,13 @@ pub(crate) fn run_loop(
                 };
                 slot.free = entry + n * tl;
                 slot.traversals += 1;
+                rec.link_granted(p, path, hop + 1, time, entry, slot.free);
                 release_fifo(
                     scratch,
                     path[hop],
                     hop > 0 || params.injection_serialization,
                     entry + (n - 1) * tl + 1,
+                    rec,
                 );
                 scratch
                     .queue
@@ -558,9 +562,19 @@ pub(crate) fn run_loop(
     (texec, delivered, events_done)
 }
 
-/// Releases the FIFO head of `link` at cycle `clear`, waking the next
-/// parked packet — the dense-id twin of `schedule`'s `release_fifo`.
-fn release_fifo(scratch: &mut ScheduleScratch, link: u32, applies: bool, clear: u64) {
+/// Releases the FIFO head of `link` at cycle `clear` (the previous
+/// packet's tail has left the router), waking the next parked packet.
+/// Marked inline because, once generic, the compiler stopped inlining
+/// it into the loop's `()` instance, which cost the service a few
+/// percent of its job rate.
+#[inline]
+fn release_fifo<R: Recorder>(
+    scratch: &mut ScheduleScratch,
+    link: u32,
+    applies: bool,
+    clear: u64,
+    rec: &mut R,
+) {
     if !applies {
         return;
     }
@@ -568,6 +582,7 @@ fn release_fifo(scratch: &mut ScheduleScratch, link: u32, applies: bool, clear: 
     debug_assert!(slot.busy, "owner released a tracked FIFO");
     if let Some((q, qhop, arrival)) = slot.parked.pop_front() {
         let eff = arrival.max(clear);
+        rec.fifo_wait(q as usize, link, arrival, eff);
         scratch.queue.push(pack(eff, q as usize, DECIDE, qhop));
         // `q` now owns the FIFO head; remaining arrivals stay parked.
     } else {
@@ -667,7 +682,7 @@ impl<'a> CostEvaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Same as [`schedule_cost`].
+    /// Same as [`schedule_cost_with`].
     pub fn texec_cycles(&mut self, mapping: &Mapping) -> Result<u64, SimError> {
         schedule_cost_inner(
             self.cdcg,
@@ -684,7 +699,7 @@ impl<'a> CostEvaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Same as [`schedule_cost`].
+    /// Same as [`schedule_cost_with`].
     pub fn texec_ns(&mut self, mapping: &Mapping) -> Result<f64, SimError> {
         let cycles = self.texec_cycles(mapping)?;
         Ok(self.params.cycles_to_ns(cycles))
@@ -732,48 +747,6 @@ mod tests {
         g.add_dependence(pbf1, pfb1).unwrap();
         g.add_dependence(paf1, pfb1).unwrap();
         g
-    }
-
-    #[test]
-    fn packed_keys_order_exactly_like_events() {
-        // The bit-exactness contract hangs on `pack` being order-isomorphic
-        // to the derived `Ord` of `crate::event::Event`. Enumerate a grid
-        // of events (all variants, several hops/packets/times, including
-        // equal-field ties) and compare the two orderings pairwise.
-        use crate::event::{Event, Phase};
-        let phases = [
-            (Phase::Inject, INJECT, 0u32),
-            (Phase::RouterEntry(0), ROUTER_ENTRY, 0),
-            (Phase::RouterEntry(3), ROUTER_ENTRY, 3),
-            (Phase::Decide(0), DECIDE, 0),
-            (Phase::Decide(3), DECIDE, 3),
-            (Phase::LinkRequest(0), LINK_REQUEST, 0),
-            (Phase::LinkRequest(7), LINK_REQUEST, 7),
-        ];
-        let mut all: Vec<(Event, u128)> = Vec::new();
-        for time in [0u64, 1, 5, u64::MAX] {
-            for packet in [0usize, 1, 42, PACKET_LIMIT - 1] {
-                for &(phase, variant, hop) in &phases {
-                    all.push((
-                        Event {
-                            time,
-                            packet,
-                            phase,
-                        },
-                        pack(time, packet, variant, hop),
-                    ));
-                }
-            }
-        }
-        for (ea, ka) in &all {
-            for (eb, kb) in &all {
-                assert_eq!(
-                    ea.cmp(eb),
-                    ka.cmp(kb),
-                    "ordering diverges for {ea:?} vs {eb:?}"
-                );
-            }
-        }
     }
 
     #[test]

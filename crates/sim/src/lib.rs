@@ -2,36 +2,34 @@
 //!
 //! Wormhole NoC timing engine for the DATE 2005 CDCM reproduction.
 //!
-//! Two independent implementations of the same timing model live here:
+//! The paper's CDCM execution algorithm — the *interval model* — has one
+//! implementation here, the event loop in [`cost`]. It walks every CDCG
+//! packet over its route on dense link ids, arbitrates inter-router links
+//! FCFS behind per-input-port FIFOs and produces the application
+//! execution time `texec`. Two recorders observe that loop:
 //!
-//! * [`schedule`] — the paper's CDCM execution algorithm: an event-driven
-//!   *interval scheduler* that walks every CDCG packet over its XY path,
-//!   annotates each CRG resource with absolute occupancy intervals (the
-//!   paper's "cost variable lists", Figure 3), arbitrates inter-router
-//!   links FCFS and produces the application execution time `texec`.
-//! * [`des`] — a flit-level, cycle-driven discrete-event simulator used to
-//!   cross-validate the interval scheduler (and to explore bounded router
-//!   buffers, which the analytic model cannot express).
-//!
-//! The interval scheduler additionally has a **cost-only fast path**,
-//! [`cost`]: the same algorithm (shared event types, identical
-//! arbitration and tie-breaking, bit-exact `texec`) evaluated without
-//! materializing schedules, occupancy maps or contention logs, over
-//! preallocated scratch state ([`ScheduleScratch`]) and a shared route
-//! source — a dense [`noc_model::RouteCache`] or any tier of the
-//! large-mesh [`noc_model::RouteProvider`]. The contract:
-//!
-//! * **Full evaluation** ([`schedule`]) — when the *artifacts* matter:
-//!   occupancy lists, per-packet timelines, contention events, Gantt
-//!   charts, paper-style reports. Allocates per call.
-//! * **Cost-only evaluation** ([`schedule_cost`] / [`CostEvaluator`]) —
-//!   when only the scalar cost matters, i.e. inside search loops that
-//!   evaluate millions of candidate mappings. Allocation-free after
-//!   warm-up, several times faster, and guaranteed to return exactly the
-//!   full path's `texec_cycles()` on every input. A search loop's tile
+//! * **Full schedule** ([`schedule`](schedule()) / [`schedule_with`]) — when the
+//!   *artifacts* matter: the paper's cost variable lists (occupancy
+//!   intervals per CRG resource, Figure 3), per-packet timelines,
+//!   contention events, Gantt charts, paper-style reports. Allocates per
+//!   call.
+//! * **Cost only** ([`schedule_cost_with`] / [`CostEvaluator`] /
+//!   [`BatchEvaluator`]) — when only the scalar cost matters, i.e. inside
+//!   search loops that evaluate millions of candidate mappings. It
+//!   records nothing, runs over preallocated scratch state
+//!   ([`ScheduleScratch`]) and a shared route source — a dense
+//!   [`noc_model::RouteCache`] or any tier of the large-mesh
+//!   [`noc_model::RouteProvider`] — and is allocation-free after warm-up.
+//!   Both recorders see the same run, so its `texec` is the full
+//!   schedule's `texec_cycles()` by construction. A search loop's tile
 //!   swap is priced the same way: the swapped mapping is evaluated in
-//!   full (see `noc-energy`'s `CdcmCostEvaluator`, which counts its
-//!   swap queries in [`DeltaStats`]).
+//!   full (see `noc-energy`'s `CdcmCostEvaluator`, which counts its swap
+//!   queries in [`DeltaStats`]).
+//!
+//! The independent oracle is [`des`], a flit-level, cycle-driven
+//! discrete-event simulator. It cross-validates the interval model
+//! cycle-exactly, and explores bounded router buffers, which the
+//! analytic model cannot express.
 //!
 //! Supporting modules: [`params`] (the `tr`/`tl`/`λ`/flit-width parameter
 //! set), [`wormhole`] (Equations 6–8 in closed form), [`gantt`] (the
@@ -71,7 +69,6 @@ pub mod batch;
 pub mod cost;
 pub mod des;
 pub mod error;
-mod event;
 pub mod gantt;
 pub mod interval;
 pub mod obs;
@@ -82,10 +79,7 @@ pub mod schedule;
 pub mod wormhole;
 
 pub use batch::{BatchEvaluator, BatchStats, BATCH_SIZE_BUCKETS};
-pub use cost::{
-    schedule_cost, schedule_cost_memoized, schedule_cost_with, CostEvaluator, DeltaStats, RunStats,
-    ScheduleScratch,
-};
+pub use cost::{schedule_cost_with, CostEvaluator, DeltaStats, RunStats, ScheduleScratch};
 pub use error::SimError;
 pub use interval::CycleInterval;
 pub use params::SimParams;

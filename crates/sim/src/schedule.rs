@@ -32,15 +32,21 @@
 //!   [`crate::des`] enforces it physically, and the two implementations
 //!   agree cycle-exactly because this model tracks it too. FIFO waits
 //!   are logged as [`ContentionEvent`]s on the *incoming* link.
+//!
+//! The algorithm itself runs in the cost engine's event loop
+//! ([`crate::cost`]); this module records that run into the artifacts
+//! below.
 
+use crate::cost::{init_run, run_loop, Recorder, ScheduleScratch};
 use crate::error::SimError;
-use crate::event::{Event, Phase};
 use crate::interval::CycleInterval;
 use crate::params::SimParams;
 use crate::resource::{Occupancy, OccupancyMap, Resource};
-use noc_model::{Cdcg, Link, Mapping, Mesh, PacketId, RoutingAlgorithm, TileId, XyRouting};
+use noc_model::{
+    Cdcg, ImplicitRoutes, Link, Mapping, Mesh, PacketId, RouteCache, RouteSource, RoutingAlgorithm,
+    RoutingKind, TileId, XyRouting,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// A contention incident: `packet` asked for `link` at `requested` but the
 /// link was held by another packet, so it was granted only at `granted`.
@@ -234,22 +240,18 @@ pub fn schedule(
     schedule_with(cdcg, mesh, mapping, params, &XyRouting)
 }
 
-/// Per-input-link FIFO state: either the link's last packet has fully
-/// left its router (`Clear` at the given cycle), or a packet still owns
-/// the FIFO head and later arrivals are parked behind it in order.
-#[derive(Debug, Clone)]
-enum FifoState {
-    Clear(u64),
-    Busy {
-        parked: std::collections::VecDeque<(usize, usize, u64)>,
-    },
-}
-
 /// Same as [`schedule`] with an explicit routing algorithm.
+///
+/// A library algorithm (resolved by name, see
+/// [`RoutingAlgorithm::name`]) is walked from coordinates by
+/// [`ImplicitRoutes`], which builds nothing; a custom algorithm is
+/// routed once per tile pair into a dense [`RouteCache`].
 ///
 /// # Errors
 ///
-/// See [`schedule`].
+/// See [`schedule`]. A custom algorithm on a mesh too large for a dense
+/// route cache also fails, with
+/// [`ModelError::RouteCacheTooLarge`](noc_model::ModelError::RouteCacheTooLarge).
 pub fn schedule_with(
     cdcg: &Cdcg,
     mesh: &Mesh,
@@ -257,341 +259,73 @@ pub fn schedule_with(
     params: &SimParams,
     routing: &dyn RoutingAlgorithm,
 ) -> Result<Schedule, SimError> {
-    if mapping.core_count() != cdcg.core_count() {
-        return Err(SimError::CoreCountMismatch {
-            mapping: mapping.core_count(),
-            application: cdcg.core_count(),
-        });
-    }
-    mapping.validate()?;
-    for (_, tile) in mapping.assignments() {
-        if !mesh.contains(tile) {
-            return Err(SimError::Model(noc_model::ModelError::UnknownTile(tile)));
+    match RoutingKind::from_name(routing.name()) {
+        Some(kind) => record(
+            cdcg,
+            mesh,
+            mapping,
+            params,
+            &ImplicitRoutes::new(mesh, kind),
+        ),
+        None => {
+            let cache = RouteCache::with_routing(mesh, routing)?;
+            record(cdcg, mesh, mapping, params, &cache)
         }
     }
+}
 
-    let n_packets = cdcg.packet_count();
-    let tl = params.link_cycles;
-    let tr = params.routing_cycles;
-
-    // Per-packet routed path and flit count.
-    let paths: Vec<noc_model::Path> = cdcg
-        .packet_ids()
-        .map(|id| {
-            let p = cdcg.packet(id);
-            routing.route(mesh, mapping.tile_of(p.src), mapping.tile_of(p.dst))
-        })
-        .collect();
-    let flits: Vec<u64> = cdcg
-        .packet_ids()
-        .map(|id| params.flits(cdcg.packet(id).bits).max(1))
-        .collect();
-
-    // Dependence bookkeeping.
-    let mut pending: Vec<usize> = cdcg
-        .packet_ids()
-        .map(|id| cdcg.predecessors(id).len())
-        .collect();
-    let mut ready: Vec<u64> = vec![0; n_packets];
-
-    // Resource free times and input-port FIFO states, keyed lazily.
-    let mut link_free: std::collections::HashMap<Link, u64> = std::collections::HashMap::new();
-    let mut fifo: std::collections::HashMap<Link, FifoState> = std::collections::HashMap::new();
-
-    // Per-packet in-flight state.
-    let mut router_entry: Vec<Vec<u64>> = paths.iter().map(|p| vec![0; p.router_count()]).collect();
-    let mut schedules: Vec<PacketSchedule> = cdcg
-        .packet_ids()
-        .map(|id| PacketSchedule {
-            packet: id,
-            ready: 0,
-            inject_request: 0,
-            routers: Vec::new(),
-            links: Vec::new(),
-            delivery: 0,
-            contention_cycles: 0,
-        })
-        .collect();
-
-    let mut contention: Vec<ContentionEvent> = Vec::new();
-    let mut queue: BinaryHeap<std::cmp::Reverse<Event>> = BinaryHeap::new();
-
-    // The link a packet used to reach router `hop` (its input port there).
-    let feeding_link = |p: usize, hop: usize| -> Link {
-        let path = &paths[p];
-        if hop == 0 {
-            Link::Injection(path.source())
-        } else {
-            Link::between(path.routers()[hop - 1], path.routers()[hop])
-        }
+/// Runs the event loop over `routes` with a [`ScheduleRecorder`] and
+/// assembles its recording into a [`Schedule`].
+fn record<S: RouteSource>(
+    cdcg: &Cdcg,
+    mesh: &Mesh,
+    mapping: &Mapping,
+    params: &SimParams,
+    routes: &S,
+) -> Result<Schedule, SimError> {
+    let mut scratch = ScheduleScratch::new();
+    init_run(cdcg, mesh, mapping, params, routes, None, &mut scratch)?;
+    let mut rec = ScheduleRecorder {
+        cdcg,
+        routes,
+        link_cycles: params.link_cycles,
+        packets: cdcg
+            .packet_ids()
+            .map(|id| PacketSchedule {
+                packet: id,
+                ready: 0,
+                inject_request: 0,
+                routers: Vec::new(),
+                links: Vec::new(),
+                delivery: 0,
+                contention_cycles: 0,
+            })
+            .collect(),
+        header_entry: vec![0; cdcg.packet_count()],
+        contention: Vec::new(),
     };
-
-    // Whether the input-port FIFO applies to arrivals over `link`. With
-    // non-serialized injection the core link is an infinite-bandwidth
-    // fiction, so its "FIFO" cannot be meaningfully ordered.
-    let fifo_applies = |link: &Link| -> bool {
-        match link {
-            Link::Injection(_) => params.injection_serialization,
-            _ => true,
-        }
-    };
-
-    // Releases the FIFO head of `link` at cycle `clear` (the previous
-    // packet's tail has left the router); wakes the next parked packet.
-    let release_fifo = |fifo: &mut std::collections::HashMap<Link, FifoState>,
-                        queue: &mut BinaryHeap<std::cmp::Reverse<Event>>,
-                        contention: &mut Vec<ContentionEvent>,
-                        schedules: &mut Vec<PacketSchedule>,
-                        link: Link,
-                        clear: u64| {
-        if !fifo_applies(&link) {
-            return;
-        }
-        let state = fifo.get_mut(&link).expect("owner released a tracked FIFO");
-        match state {
-            FifoState::Busy { parked } => {
-                if let Some((q, qhop, arrival)) = parked.pop_front() {
-                    let eff = arrival.max(clear);
-                    if eff > arrival {
-                        schedules[q].contention_cycles += eff - arrival;
-                        contention.push(ContentionEvent {
-                            packet: PacketId::new(q),
-                            link,
-                            requested: arrival,
-                            granted: eff,
-                        });
-                    }
-                    queue.push(std::cmp::Reverse(Event {
-                        time: eff,
-                        packet: q,
-                        phase: Phase::Decide(qhop),
-                    }));
-                    // `q` now owns the FIFO head; remaining arrivals stay
-                    // parked behind it.
-                } else {
-                    *state = FifoState::Clear(clear);
-                }
-            }
-            FifoState::Clear(_) => unreachable!("release without an owner"),
-        }
-    };
-
-    for id in cdcg.start_packets() {
-        let comp = cdcg.packet(id).comp_cycles;
-        schedules[id.index()].ready = 0;
-        schedules[id.index()].inject_request = comp;
-        queue.push(std::cmp::Reverse(Event {
-            time: comp,
-            packet: id.index(),
-            phase: Phase::Inject,
-        }));
-    }
-
-    let mut texec: u64 = 0;
-    let mut delivered = 0usize;
-
-    while let Some(std::cmp::Reverse(ev)) = queue.pop() {
-        let p = ev.packet;
-        let path = &paths[p];
-        let n = flits[p];
-        match ev.phase {
-            Phase::Inject => {
-                let link = Link::Injection(path.source());
-                let free = link_free.get(&link).copied().unwrap_or(0);
-                let entry = if params.injection_serialization {
-                    ev.time.max(free)
-                } else {
-                    ev.time
-                };
-                if entry > ev.time {
-                    schedules[p].contention_cycles += entry - ev.time;
-                    contention.push(ContentionEvent {
-                        packet: PacketId::new(p),
-                        link,
-                        requested: ev.time,
-                        granted: entry,
-                    });
-                }
-                link_free.insert(link, entry + n * tl);
-                schedules[p]
-                    .links
-                    .push((link, CycleInterval::new(entry, entry + n * tl)));
-                queue.push(std::cmp::Reverse(Event {
-                    time: entry + tl,
-                    packet: p,
-                    phase: Phase::RouterEntry(0),
-                }));
-            }
-            Phase::RouterEntry(hop) => {
-                // Header arrives and joins the input-port FIFO.
-                router_entry[p][hop] = ev.time;
-                let in_link = feeding_link(p, hop);
-                if !fifo_applies(&in_link) {
-                    queue.push(std::cmp::Reverse(Event {
-                        time: ev.time,
-                        packet: p,
-                        phase: Phase::Decide(hop),
-                    }));
-                } else {
-                    match fifo.entry(in_link).or_insert(FifoState::Clear(0)) {
-                        FifoState::Clear(clear) => {
-                            let eff = ev.time.max(*clear);
-                            if eff > ev.time {
-                                schedules[p].contention_cycles += eff - ev.time;
-                                contention.push(ContentionEvent {
-                                    packet: PacketId::new(p),
-                                    link: in_link,
-                                    requested: ev.time,
-                                    granted: eff,
-                                });
-                            }
-                            fifo.insert(
-                                in_link,
-                                FifoState::Busy {
-                                    parked: std::collections::VecDeque::new(),
-                                },
-                            );
-                            queue.push(std::cmp::Reverse(Event {
-                                time: eff,
-                                packet: p,
-                                phase: Phase::Decide(hop),
-                            }));
-                        }
-                        FifoState::Busy { parked } => {
-                            parked.push_back((p, hop, ev.time));
-                        }
-                    }
-                }
-            }
-            Phase::Decide(hop) => {
-                let last = hop + 1 == path.router_count();
-                if last {
-                    // Request the ejection link.
-                    let link = Link::Ejection(path.destination());
-                    let request = ev.time + tr;
-                    let free = link_free.get(&link).copied().unwrap_or(0);
-                    let entry = if params.ejection_contention && free > request {
-                        free + tr
-                    } else {
-                        request
-                    };
-                    if entry > request {
-                        schedules[p].contention_cycles += entry - request;
-                        contention.push(ContentionEvent {
-                            packet: PacketId::new(p),
-                            link,
-                            requested: request,
-                            granted: entry,
-                        });
-                    }
-                    link_free.insert(link, entry + n * tl);
-                    schedules[p]
-                        .links
-                        .push((link, CycleInterval::new(entry, entry + n * tl)));
-                    let router = path.routers()[hop];
-                    schedules[p].routers.push((
-                        router,
-                        CycleInterval::new(router_entry[p][hop], entry + (n - 1) * tl),
-                    ));
-                    release_fifo(
-                        &mut fifo,
-                        &mut queue,
-                        &mut contention,
-                        &mut schedules,
-                        feeding_link(p, hop),
-                        entry + (n - 1) * tl + 1,
-                    );
-                    let delivery = entry + n * tl;
-                    schedules[p].delivery = delivery;
-                    texec = texec.max(delivery);
-                    delivered += 1;
-                    // Wake up dependent packets.
-                    let id = PacketId::new(p);
-                    for &succ in cdcg.successors(id) {
-                        let s = succ.index();
-                        ready[s] = ready[s].max(delivery);
-                        pending[s] -= 1;
-                        if pending[s] == 0 {
-                            let comp = cdcg.packet(succ).comp_cycles;
-                            schedules[s].ready = ready[s];
-                            schedules[s].inject_request = ready[s] + comp;
-                            queue.push(std::cmp::Reverse(Event {
-                                time: ready[s] + comp,
-                                packet: s,
-                                phase: Phase::Inject,
-                            }));
-                        }
-                    }
-                } else {
-                    queue.push(std::cmp::Reverse(Event {
-                        time: ev.time + tr,
-                        packet: p,
-                        phase: Phase::LinkRequest(hop),
-                    }));
-                }
-            }
-            Phase::LinkRequest(hop) => {
-                let from = path.routers()[hop];
-                let to = path.routers()[hop + 1];
-                let link = Link::between(from, to);
-                let free = link_free.get(&link).copied().unwrap_or(0);
-                let entry = if free > ev.time { free + tr } else { ev.time };
-                if entry > ev.time {
-                    schedules[p].contention_cycles += entry - ev.time;
-                    contention.push(ContentionEvent {
-                        packet: PacketId::new(p),
-                        link,
-                        requested: ev.time,
-                        granted: entry,
-                    });
-                }
-                link_free.insert(link, entry + n * tl);
-                schedules[p]
-                    .links
-                    .push((link, CycleInterval::new(entry, entry + n * tl)));
-                schedules[p].routers.push((
-                    from,
-                    CycleInterval::new(router_entry[p][hop], entry + (n - 1) * tl),
-                ));
-                release_fifo(
-                    &mut fifo,
-                    &mut queue,
-                    &mut contention,
-                    &mut schedules,
-                    feeding_link(p, hop),
-                    entry + (n - 1) * tl + 1,
-                );
-                queue.push(std::cmp::Reverse(Event {
-                    time: entry + tl,
-                    packet: p,
-                    phase: Phase::RouterEntry(hop + 1),
-                }));
-            }
-        }
-    }
-
+    let walks = std::mem::take(&mut scratch.walks);
+    let (texec, delivered, _) = run_loop(cdcg, params, routes.flat(&walks), &mut scratch, &mut rec);
     debug_assert_eq!(
-        delivered, n_packets,
+        delivered,
+        cdcg.packet_count(),
         "DAG execution must deliver all packets"
     );
 
     // Build the per-resource cost variable lists.
+    let ScheduleRecorder {
+        packets,
+        mut contention,
+        ..
+    } = rec;
     let mut occupancy = OccupancyMap::new();
-    for sched in &schedules {
+    for sched in &packets {
         let bits = cdcg.packet(sched.packet).bits;
-        for &(tile, interval) in &sched.routers {
+        let routers = sched.routers.iter().map(|&(t, i)| (Resource::Router(t), i));
+        let links = sched.links.iter().map(|&(l, i)| (Resource::Link(l), i));
+        for (resource, interval) in routers.chain(links) {
             occupancy.record(
-                Resource::Router(tile),
-                Occupancy {
-                    packet: sched.packet,
-                    bits,
-                    interval,
-                },
-            );
-        }
-        for &(link, interval) in &sched.links {
-            occupancy.record(
-                Resource::Link(link),
+                resource,
                 Occupancy {
                     packet: sched.packet,
                     bits,
@@ -605,11 +339,93 @@ pub fn schedule_with(
 
     Ok(Schedule {
         params: *params,
-        packets: schedules,
+        packets,
         occupancy,
         contention,
         texec_cycles: texec,
     })
+}
+
+/// Records one run of the event loop as per-packet timelines and a
+/// contention log, decoding dense link ids through the route source.
+struct ScheduleRecorder<'a, S> {
+    cdcg: &'a Cdcg,
+    routes: &'a S,
+    link_cycles: u64,
+    packets: Vec<PacketSchedule>,
+    /// Per packet: cycle its header entered the router it is crossing.
+    header_entry: Vec<u64>,
+    contention: Vec<ContentionEvent>,
+}
+
+impl<S: RouteSource> ScheduleRecorder<'_, S> {
+    fn link(&self, id: u32) -> Link {
+        self.routes
+            .link_at(id)
+            .expect("walk ids come from the route source and decode")
+    }
+
+    /// Logs a wait from `requested` to `granted` on `link`, if any.
+    fn contend(&mut self, p: usize, link: Link, requested: u64, granted: u64) {
+        if granted > requested {
+            self.packets[p].contention_cycles += granted - requested;
+            self.contention.push(ContentionEvent {
+                packet: PacketId::new(p),
+                link,
+                requested,
+                granted,
+            });
+        }
+    }
+}
+
+impl<S: RouteSource> Recorder for ScheduleRecorder<'_, S> {
+    fn injected(&mut self, p: usize, time: u64) {
+        let sched = &mut self.packets[p];
+        sched.inject_request = time;
+        sched.ready = time - self.cdcg.packet(sched.packet).comp_cycles;
+    }
+
+    fn router_entered(&mut self, p: usize, time: u64) {
+        self.header_entry[p] = time;
+    }
+
+    fn link_granted(
+        &mut self,
+        p: usize,
+        walk: &[u32],
+        pos: usize,
+        requested: u64,
+        entry: u64,
+        until: u64,
+    ) {
+        let link = self.link(walk[pos]);
+        self.contend(p, link, requested, entry);
+        let sched = &mut self.packets[p];
+        if let Some(&(feeding, _)) = sched.links.last() {
+            // The router a packet leaves over `link` is the one its
+            // previous link led into; it stays busy until the last flit
+            // starts on `link`.
+            let router = match feeding {
+                Link::Injection(tile) | Link::Ejection(tile) => tile,
+                Link::Internal { to, .. } => to,
+            };
+            let interval = CycleInterval::new(self.header_entry[p], until - self.link_cycles);
+            sched.routers.push((router, interval));
+        }
+        sched.links.push((link, CycleInterval::new(entry, until)));
+    }
+
+    fn fifo_wait(&mut self, p: usize, link: u32, arrival: u64, head: u64) {
+        if head > arrival {
+            let link = self.link(link);
+            self.contend(p, link, arrival, head);
+        }
+    }
+
+    fn delivered(&mut self, p: usize, time: u64) {
+        self.packets[p].delivery = time;
+    }
 }
 
 #[cfg(test)]

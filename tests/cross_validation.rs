@@ -1,8 +1,11 @@
 //! Cross-validation of the two independent timing implementations: the
-//! interval scheduler (`noc_sim::schedule`) and the flit-level
-//! discrete-event simulator (`noc_sim::des`). With unbounded buffers and
-//! `tl = 1` they must agree cycle-exactly on injections, deliveries and
-//! texec — on the paper example and on randomized applications.
+//! interval model (`noc_sim::schedule`, the one event loop that the cost
+//! path runs too) and the flit-level discrete-event simulator
+//! (`noc_sim::des`). With unbounded buffers and `tl = 1` they must agree
+//! cycle-exactly on injections, deliveries and texec — on the paper
+//! example and on randomized applications. This is the only check of
+//! the timing model against an independent implementation; the weekly
+//! fuzz job raises the random trial count through `NOC_FUZZ_CASES`.
 
 use noc::apps::paper_example::{figure1_cdcg, mapping_c, mapping_d, mesh_2x2};
 use noc::apps::TgffConfig;
@@ -11,6 +14,15 @@ use noc::sim::des::{simulate, DesParams};
 use noc::sim::{schedule, SimParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Trials of `random_applications_agree`; override with
+/// `NOC_FUZZ_CASES` (the scheduled CI fuzz job runs 800).
+fn fuzz_cases() -> u64 {
+    std::env::var("NOC_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(25)
+}
 
 fn serialized_params() -> SimParams {
     // The DES requires serialized injection (a real core link).
@@ -72,7 +84,7 @@ fn paper_example_agrees_on_every_mapping_of_the_2x2() {
 fn random_applications_agree() {
     let mut rng = StdRng::seed_from_u64(2025);
     let params = serialized_params();
-    for trial in 0..25 {
+    for trial in 0..fuzz_cases() {
         let cores = rng.gen_range(3..=8);
         let packets = rng.gen_range(4..=40);
         let bits = rng.gen_range(packets as u64..=packets as u64 * 300);

@@ -2,13 +2,13 @@
 //!
 //! 1. **Empty-set bit-identity** — `RouteProvider::fault_aware` with an
 //!    empty `FaultSet` must be indistinguishable from the healthy tiers:
-//!    identical decoded walks, hop counts, `schedule_cost`, CDCM costs,
+//!    identical decoded walks, hop counts, `schedule_cost_with`, CDCM costs,
 //!    swap-delta chains, and seed-pinned SA trajectories.
 //! 2. **Dead links are never traversed** — under random seed-driven
 //!    `FaultScenario`s, every resolvable pair's walk avoids every dead
 //!    channel, and every unresolvable pair reports
 //!    `ModelError::MeshPartitioned` instead of panicking, all the way up
-//!    through `schedule_cost` and the CDCM objective.
+//!    through `schedule_cost_with` and the CDCM objective.
 //! 3. **Scenario determinism** — equal scenarios on equal meshes
 //!    generate equal fault sets; the robustness experiments depend on it.
 
@@ -127,7 +127,7 @@ proptest! {
         }
     }
 
-    /// With an empty `FaultSet`, `schedule_cost` and full CDCM costs are
+    /// With an empty `FaultSet`, `schedule_cost_with` and full CDCM costs are
     /// bit-identical to the dense/on-demand/implicit tiers on random
     /// applications, meshes and mappings.
     #[test]
@@ -224,7 +224,7 @@ proptest! {
 
     /// Under random fault scenarios, a resolvable pair's walk never
     /// traverses a dead channel, and an unresolvable pair reports
-    /// `MeshPartitioned` — from the provider and from `schedule_cost` —
+    /// `MeshPartitioned` — from the provider and from `schedule_cost_with` —
     /// never a panic.
     #[test]
     fn routes_never_traverse_dead_links(
@@ -268,7 +268,7 @@ proptest! {
         let stats = provider.as_fault_aware().expect("fault tier").stats();
         prop_assert_eq!(stats.partitioned_pairs, partitioned);
 
-        // `schedule_cost` and the CDCM evaluator surface partitions as
+        // `schedule_cost_with` and the CDCM evaluator surface partitions as
         // typed errors / infinite cost — never a panic — and succeed
         // whenever every communicating pair survives.
         let cdcg = noc::apps::generate(&TgffConfig::new(
@@ -283,7 +283,7 @@ proptest! {
         let all_connected = cdcg.to_cwg().communications()
             .all(|c| pair_ok(c.src, c.dst));
         let cost = schedule_cost_with(&cdcg, &mesh, &mapping, &params, &provider, &mut scratch);
-        prop_assert_eq!(cost.is_ok(), all_connected, "schedule_cost vs validate_pair");
+        prop_assert_eq!(cost.is_ok(), all_connected, "schedule_cost_with vs validate_pair");
         let tech = Technology::t007();
         let mut engine = CdcmCostEvaluator::with_provider(
             &cdcg, &tech, &params, Arc::new(RouteProvider::fault_aware(&mesh, kind, faults)),

@@ -253,7 +253,7 @@ proptest! {
         prop_assert_eq!(sched.texec_cycles(), 100 * k);
     }
 
-    /// The cost-only fast path (`schedule_cost` / `CdcmCostEvaluator`)
+    /// The cost-only fast path (`schedule_cost_with` / `CdcmCostEvaluator`)
     /// matches the full `Schedule` bit-exactly: same `texec` cycles, same
     /// Equation 10 picojoules, on random CDCGs, meshes and mappings under
     /// both parameter presets.

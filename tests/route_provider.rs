@@ -2,7 +2,7 @@
 //! route-provider tiers must be indistinguishable from the dense
 //! `RouteCache` wherever both exist — identical routers, dense-link
 //! walks (up to id renaming), hop counts and **bit-identical**
-//! `schedule_cost` / CDCM costs — and must keep working on meshes the
+//! `schedule_cost_with` / CDCM costs — and must keep working on meshes the
 //! dense cache refuses.
 
 use noc::apps::TgffConfig;
@@ -156,7 +156,7 @@ proptest! {
         }
     }
 
-    /// `schedule_cost` is bit-identical across the three tiers on random
+    /// `schedule_cost_with` is bit-identical across the three tiers on random
     /// applications, meshes and mappings.
     #[test]
     fn schedule_cost_is_bit_identical_across_tiers(
@@ -285,7 +285,7 @@ fn large_mesh_sa_runs_on_fallback_tiers() {
 }
 
 /// The acceptance instance: on a 4×4×4 cube running the layered-shift
-/// workload, walks, hop counts, `schedule_cost`, CDCM costs and
+/// workload, walks, hop counts, `schedule_cost_with`, CDCM costs and
 /// incremental swap deltas are bit-identical across the dense, on-demand
 /// and implicit tiers, for both 3D routing kinds.
 #[test]
@@ -318,7 +318,7 @@ fn cube_4x4x4_is_bit_identical_across_tiers() {
                 }
             }
         }
-        // schedule_cost, CDCM costs and a deterministic swap chain.
+        // schedule_cost_with, CDCM costs and a deterministic swap chain.
         let mapping = permuted_mapping(&mesh, cdcg.core_count(), 42);
         let mut scratch = ScheduleScratch::new();
         let texecs: Vec<u64> = tiers

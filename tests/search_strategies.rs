@@ -7,7 +7,7 @@
 //!   threads executed the rounds (the deterministic-reduction rule).
 //! * **Verification** — every strategy's reported best cost equals a
 //!   from-scratch re-evaluation of its returned mapping (for CDCM that
-//!   is a `schedule_cost`-backed evaluation on a fresh engine), bitwise.
+//!   is a `schedule_cost_with`-backed evaluation on a fresh engine), bitwise.
 //! * **Budget accounting** — no strategy bills past its configured
 //!   evaluation budget, and telemetry agrees with the outcome.
 //!
@@ -148,7 +148,7 @@ fn reported_cost_is_a_from_scratch_reevaluation() {
         let budget = 250;
 
         // CDCM: the reported cost must be bitwise what a *fresh*
-        // schedule_cost-backed engine computes for the returned mapping.
+        // schedule_cost_with-backed engine computes for the returned mapping.
         let objective = CdcmObjective::new(&cdcg, &mesh, &tech, params);
         for (label, run) in run_all(&objective, &mesh, cores, budget, case) {
             let fresh = CdcmObjective::new(&cdcg, &mesh, &tech, params);
