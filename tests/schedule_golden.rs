@@ -16,6 +16,13 @@
 //! strict ejection arbitration, un-serialized injection and 4-bit flits.
 //! One more group routes with a custom algorithm whose name is not a
 //! library name.
+//!
+//! A last group reaches the event queue's slow paths, which those
+//! workloads never do (their packets stay under ~220 flits and every
+//! router and link takes at least one cycle): packets longer than the
+//! queue's 1024-cycle ring, whose far-future events go through its
+//! overflow heap, and zero-cycle links and routers, whose events land
+//! at the present or behind it.
 
 use noc::apps::TgffConfig;
 use noc::model::{
@@ -92,19 +99,27 @@ fn mesh_for(seed: u64, three_d: bool) -> Mesh {
 }
 
 /// Digest of every schedule of one group: `WORKLOADS` seeded TGFF
-/// applications, each on a random injective mapping.
+/// applications, each on a random injective mapping, with a mean
+/// packet size of `base + r % spread` bits for `(base, spread) =
+/// bits_per_packet`.
 /// Also returns how many contention events the group logged, so a
 /// group that never contends cannot pass vacuously.
-fn group_digest(routing: &dyn RoutingAlgorithm, three_d: bool, params: &SimParams) -> (u64, usize) {
+fn group_digest(
+    routing: &dyn RoutingAlgorithm,
+    mesh_of: impl Fn(u64) -> Mesh,
+    bits_per_packet: (u64, u64),
+    params: &SimParams,
+) -> (u64, usize) {
+    let (base, spread) = bits_per_packet;
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let mut contended = 0;
     for seed in 0..WORKLOADS {
-        let mesh = mesh_for(seed, three_d);
+        let mesh = mesh_of(seed);
         let mut state = seed.wrapping_mul(0x9E37_79B9) ^ 0xC0FFEE;
         let cores = 3 + (splitmix(&mut state) % 6) as usize;
         let cores = cores.min(mesh.tile_count());
         let packets = 4 + (splitmix(&mut state) % 27) as usize;
-        let bits = packets as u64 * (20 + splitmix(&mut state) % 200);
+        let bits = packets as u64 * (base + splitmix(&mut state) % spread);
         let cdcg = noc::apps::generate(&TgffConfig::new(cores, packets, bits, seed));
         let mut tiles: Vec<TileId> = mesh.tiles().collect();
         for i in (1..tiles.len()).rev() {
@@ -127,7 +142,8 @@ fn group_digest(routing: &dyn RoutingAlgorithm, three_d: bool, params: &SimParam
 fn check(routing: &dyn RoutingAlgorithm, three_d: bool, expected: [u64; 5]) {
     let mut mismatches = Vec::new();
     for ((label, params), want) in param_sets().iter().zip(expected) {
-        let (got, contended) = group_digest(routing, three_d, params);
+        let (got, contended) =
+            group_digest(routing, |seed| mesh_for(seed, three_d), (20, 200), params);
         assert!(contended > 0, "{}/{label} never contends", routing.name());
         if got != want {
             mismatches.push(format!(
@@ -247,4 +263,56 @@ fn custom_routing_schedules_match_recorded_digests() {
             0xdd30_3be1_9824_1b74,
         ],
     );
+}
+
+/// The slow-path group: 8 workloads on a 3×3 mesh under XY for each
+/// of four parameter sets. "long" keeps the paper parameters with
+/// packets of 1500–4500 flits on average, well past the queue's ring;
+/// the other three zero the link and/or router latency.
+#[test]
+fn event_queue_slow_path_schedules_match_recorded_digests() {
+    let paper = SimParams::paper_example();
+    let sets = [
+        ("long", paper, (1500, 3000), 0xf9d9_472c_9fab_fb0c),
+        (
+            "tl0",
+            SimParams {
+                link_cycles: 0,
+                ..paper
+            },
+            (20, 200),
+            0x884c_8cb6_2049_23eb,
+        ),
+        (
+            "tr0",
+            SimParams {
+                routing_cycles: 0,
+                ..paper
+            },
+            (20, 200),
+            0xc89b_c5fd_44e0_74c9,
+        ),
+        (
+            "tl0-tr0",
+            SimParams {
+                link_cycles: 0,
+                routing_cycles: 0,
+                ..paper
+            },
+            (20, 200),
+            0x1323_ca45_fc36_7e28,
+        ),
+    ];
+    let mesh = Mesh::new(3, 3).expect("valid mesh");
+    let mut mismatches = Vec::new();
+    for (label, params, bits_per_packet, want) in sets {
+        let (got, contended) = group_digest(&XyRouting, |_| mesh, bits_per_packet, &params);
+        assert!(contended > 0, "slow-path/{label} never contends");
+        if got != want {
+            mismatches.push(format!(
+                "slow-path/{label}: got {got:#018x}, recorded {want:#018x}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
