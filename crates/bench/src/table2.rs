@@ -90,7 +90,8 @@ impl Table2Config {
         let mut sa = SaConfig::new(0);
         // Bound each annealing run: beyond ~10^5 evaluations per search
         // the large-mesh rows improve negligibly but the wall-clock grows
-        // into hours (the 10x10/12x10 CDCM evaluations cost ~0.1 ms each).
+        // into hours (the 10x10/12x10 CDCM evaluations cost ~0.2 ms each;
+        // see `table2_cdcm_eval` in BENCH_eval.json).
         sa.max_evaluations = 120_000;
         sa.stall_epochs = 16;
         Self {

@@ -46,6 +46,10 @@ use std::sync::Arc;
 // bits) | phase (2 bits: Inject=0 < RouterEntry=1 < Decide=2 <
 // LinkRequest=3) | `hop` (32 bits). A packet has at most one pending
 // event, so the order is total and every min-queue pops the same run.
+// Decide runs only at a packet's last router, where it requests the
+// ejection link; at the others the routing decision touches no state,
+// so the link request is queued `tr` cycles after the FIFO head is won
+// (see `routed`) with no Decide event in between.
 pub(crate) const PACKET_LIMIT: usize = 1 << 30;
 pub(crate) const INJECT: u32 = 0;
 const ROUTER_ENTRY: u32 = 1;
@@ -115,7 +119,11 @@ pub struct ScheduleScratch {
 pub struct RunStats {
     /// Completed full cost evaluations served by this scratch.
     pub runs: u64,
-    /// Scheduler events processed across those evaluations.
+    /// Scheduler events processed across those evaluations. A packet
+    /// crossing `k` routers costs `2k + 1`: its injection, `k` router
+    /// entries, `k - 1` link requests and one decision at the last
+    /// router (the other routers' decisions are folded into their link
+    /// requests, so they are not events).
     pub events: u64,
 }
 
@@ -474,7 +482,7 @@ pub(crate) fn run_loop<R: Recorder>(
                 rec.router_entered(p, time);
                 let applies = hop > 0 || params.injection_serialization;
                 if !applies {
-                    scratch.queue.push(pack(time, p, DECIDE, hop as u32));
+                    scratch.queue.push(routed(time, p, hop, k, tr));
                 } else {
                     let slot = scratch.fifo(path[hop]);
                     if slot.busy {
@@ -484,53 +492,48 @@ pub(crate) fn run_loop<R: Recorder>(
                         slot.busy = true;
                         // noc-verify: allow(PANIC01) — ROUTER_ENTRY is only pushed for hops below the walk's router count k = len - 1
                         rec.fifo_wait(p, path[hop], time, eff);
-                        scratch.queue.push(pack(eff, p, DECIDE, hop as u32));
+                        scratch.queue.push(routed(eff, p, hop, k, tr));
                     }
                 }
             }
             DECIDE => {
-                let last = hop + 1 == k;
-                if last {
-                    // Request the ejection link.
-                    let request = time + tr;
-                    let slot = scratch.link(path[k]);
-                    let entry = if params.ejection_contention && slot.free > request {
-                        slot.free + tr
-                    } else {
-                        request
-                    };
-                    slot.free = entry + n * tl;
-                    slot.traversals += 1;
-                    rec.link_granted(p, path, k, request, entry, slot.free);
-                    release_fifo(
-                        scratch,
-                        path[hop],
-                        hop > 0 || params.injection_serialization,
-                        entry + (n - 1) * tl + 1,
-                        rec,
-                    );
-                    let delivery = entry + n * tl;
-                    texec = texec.max(delivery);
-                    delivered += 1;
-                    rec.delivered(p, delivery);
-                    // Wake up dependent packets.
-                    for &succ in cdcg.successors(PacketId::new(p)) {
-                        let s = succ.index();
-                        scratch.ready[s] = scratch.ready[s].max(delivery);
-                        scratch.pending[s] -= 1;
-                        if scratch.pending[s] == 0 {
-                            scratch.queue.push(pack(
-                                scratch.ready[s] + cdcg.packet(succ).comp_cycles,
-                                s,
-                                INJECT,
-                                0,
-                            ));
-                        }
-                    }
+                // Only pushed at the last router: request the ejection link.
+                debug_assert_eq!(hop + 1, k);
+                let request = time + tr;
+                let slot = scratch.link(path[k]);
+                let entry = if params.ejection_contention && slot.free > request {
+                    slot.free + tr
                 } else {
-                    scratch
-                        .queue
-                        .push(pack(time + tr, p, LINK_REQUEST, hop as u32));
+                    request
+                };
+                slot.free = entry + n * tl;
+                slot.traversals += 1;
+                rec.link_granted(p, path, k, request, entry, slot.free);
+                release_fifo(
+                    scratch,
+                    path[hop],
+                    hop > 0 || params.injection_serialization,
+                    entry + (n - 1) * tl + 1,
+                    tr,
+                    rec,
+                );
+                let delivery = entry + n * tl;
+                texec = texec.max(delivery);
+                delivered += 1;
+                rec.delivered(p, delivery);
+                // Wake up dependent packets.
+                for &succ in cdcg.successors(PacketId::new(p)) {
+                    let s = succ.index();
+                    scratch.ready[s] = scratch.ready[s].max(delivery);
+                    scratch.pending[s] -= 1;
+                    if scratch.pending[s] == 0 {
+                        scratch.queue.push(pack(
+                            scratch.ready[s] + cdcg.packet(succ).comp_cycles,
+                            s,
+                            INJECT,
+                            0,
+                        ));
+                    }
                 }
             }
             _ => {
@@ -549,6 +552,7 @@ pub(crate) fn run_loop<R: Recorder>(
                     path[hop],
                     hop > 0 || params.injection_serialization,
                     entry + (n - 1) * tl + 1,
+                    tr,
                     rec,
                 );
                 scratch
@@ -562,6 +566,22 @@ pub(crate) fn run_loop<R: Recorder>(
     (texec, delivered, events_done)
 }
 
+/// The event that follows packet `p` becoming the head of router
+/// `hop`'s input FIFO at `head`, on a walk through `k` routers. The
+/// routing decision takes `tr` cycles: at the last router `DECIDE`
+/// requests the ejection link after them; elsewhere the decision
+/// touches no state, so the link request is queued at `head + tr`
+/// directly. Its key is the one a decision event at `head` would queue,
+/// so every other event keeps its place in the order.
+#[inline]
+fn routed(head: u64, p: usize, hop: usize, k: usize, tr: u64) -> u128 {
+    if hop + 1 == k {
+        pack(head, p, DECIDE, hop as u32)
+    } else {
+        pack(head + tr, p, LINK_REQUEST, hop as u32)
+    }
+}
+
 /// Releases the FIFO head of `link` at cycle `clear` (the previous
 /// packet's tail has left the router), waking the next parked packet.
 /// Marked inline because, once generic, the compiler stopped inlining
@@ -573,6 +593,7 @@ fn release_fifo<R: Recorder>(
     link: u32,
     applies: bool,
     clear: u64,
+    tr: u64,
     rec: &mut R,
 ) {
     if !applies {
@@ -583,7 +604,13 @@ fn release_fifo<R: Recorder>(
     if let Some((q, qhop, arrival)) = slot.parked.pop_front() {
         let eff = arrival.max(clear);
         rec.fifo_wait(q as usize, link, arrival, eff);
-        scratch.queue.push(pack(eff, q as usize, DECIDE, qhop));
+        let k = scratch
+            .spans
+            .get(q as usize)
+            .map_or(0, |&(_, len)| len as usize - 1);
+        scratch
+            .queue
+            .push(routed(eff, q as usize, qhop as usize, k, tr));
         // `q` now owns the FIFO head; remaining arrivals stay parked.
     } else {
         slot.busy = false;
